@@ -23,7 +23,6 @@ Two hooks support the crash-consistency subsystem (``repro.faults``):
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,10 +39,10 @@ from repro.arm.tlb import TLB
 #: so a never-snapshotted memory (``_snap_token == 0``) never matches.
 _SNAP_TOKENS = itertools.count(1)
 
-#: Escape hatch: set ``REPRO_NO_DELTA_RESTORE=1`` to force every restore
-#: down the full-buffer path — the equivalence oracle the delta path is
-#: pinned against.
-DELTA_RESTORE = os.environ.get("REPRO_NO_DELTA_RESTORE", "") != "1"
+#: Default restore path.  Tests and ``repro.tools.deltabench`` set it
+#: False to force every restore down the full-buffer path — the
+#: equivalence oracle the delta path is pinned against.
+DELTA_RESTORE = True
 
 
 class FaultInjected(Exception):
@@ -298,7 +297,7 @@ class MachineState:
         O(dirty-pages) instead of O(memory).  Any token mismatch (an
         older snapshot, a different machine's snapshot, a never-anchored
         memory) falls back to the full-buffer copy and re-anchors.
-        ``delta=False`` (or ``REPRO_NO_DELTA_RESTORE=1``) forces the
+        ``delta=False`` (or ``DELTA_RESTORE = False``) forces the
         full path — the equivalence oracle.  Either path leaves the
         buffer byte-identical to ``snap.store``.
         """

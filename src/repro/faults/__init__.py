@@ -16,8 +16,10 @@ executable model and checks them:
   benign, repaired, or quarantined-and-contained, never in a silent
   wrong result;
 * :mod:`repro.faults.snapshot` — campaign checkpoints: capture a
-  lifecycle prefix once and rewind it in place per injected fault,
-  bit-identical to the per-trial deep-copy path but cheaper;
+  lifecycle prefix once and rewind it in place per injected fault —
+  the only way a trial forks;
+* :mod:`repro.faults.driver` — the one trial loop every campaign runs
+  on (golden run, then each trial, each a rewind of one checkpoint);
 * :mod:`repro.faults.parallel` — sharded campaign execution: trials
   stripe across forked workers and the merged report is byte-identical
   to the serial one (the CLIs' ``--jobs N``).

@@ -39,17 +39,14 @@ design avoids by *not* keying any trust decision off mutable state.
 engine (any subset of fast/reference/turbo): per-trial outcomes, final
 digests and cycle counters must agree bit-for-bit.
 
-Trials default to snapshot acceleration (``use_snapshots=True``): each
-quiescent step state is captured once with ``CampaignSnapshot`` and
-rewound in place per flip, instead of deep-copying the whole
-monitor+kernel pair per trial.  ``use_snapshots=False`` keeps the
-original deep-copy path; both produce bit-identical reports (pinned by
-tests/faults/test_snapshot.py).
+One machine (monitor + OS kernel) is advanced through the quiescent
+steps; at each, the golden run and every flip fork from one
+``CampaignSnapshot`` through the shared driver loop
+(``repro.faults.driver``).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -57,12 +54,12 @@ from repro.arm.assembler import Assembler
 from repro.arm.bits import WORDSIZE
 from repro.arm.memory import PAGE_SIZE, WORDS_PER_PAGE
 from repro.arm.pagetable import l1_index, l2_index
-from repro.crypto.rng import HardwareRNG
 from repro.faults.audit import audit_monitor, integrity_consistency, secure_state_digest
+from repro.faults.driver import Campaign, Record, Report, Step
+from repro.faults.parallel import compare_steps, differential
 from repro.faults.snapshot import CampaignSnapshot
 from repro.monitor import integrity
 from repro.monitor.errors import KomErr
-from repro.monitor.komodo import KomodoMonitor
 from repro.monitor.layout import (
     AS_WORDS_USED,
     SMC,
@@ -77,7 +74,6 @@ from repro.monitor.layout import (
     pagedb_entry_addr,
 )
 from repro.osmodel.kernel import OSKernel
-from repro.util.watchdog import TrialTimeout, time_limit
 
 CODE_VA = 0x0001_0000
 DATA_VA = CODE_VA + PAGE_SIZE
@@ -154,7 +150,7 @@ class _Outcome:
 
 
 @dataclass
-class FlipRecord:
+class FlipRecord(Record):
     """One flip trial.
 
     ``ordinal`` is the trial's index in the *serial* (site × bit,
@@ -172,20 +168,25 @@ class FlipRecord:
     cycles: int = -1
     violations: List[str] = field(default_factory=list)
 
+    @property
+    def label(self) -> str:
+        return f"flip {self.site} bit {self.bit}"
+
+    def timed_out(self) -> None:
+        self.outcome, self.digest, self.cycles = "timeout", "", -1
+
 
 @dataclass
-class StepSummary:
+class StepSummary(Step):
     """Per-step results; the flat lists the differential comparisons and
     the CLI table use are derived from the per-trial records."""
+
+    RECORDS = "flip_records"
 
     name: str
     sites: int = 0
     pre_violations: List[str] = field(default_factory=list)
     flip_records: List[FlipRecord] = field(default_factory=list)
-
-    @property
-    def trials(self) -> int:
-        return len(self.flip_records)
 
     @property
     def benign(self) -> int:
@@ -198,13 +199,6 @@ class StepSummary:
     @property
     def quarantined(self) -> int:
         return sum(1 for r in self.flip_records if r.outcome == "quarantined")
-
-    @property
-    def violations(self) -> List[str]:
-        out = list(self.pre_violations)
-        for record in self.flip_records:
-            out.extend(record.violations)
-        return out
 
     # Per-trial projections, in site×bit order — the differential hook.
     @property
@@ -221,23 +215,11 @@ class StepSummary:
 
 
 @dataclass
-class BitflipReport:
+class BitflipReport(Report):
     engine: str
     seed: int
     stride: int
     steps: List[StepSummary] = field(default_factory=list)
-
-    @property
-    def violations(self) -> List[str]:
-        return [v for step in self.steps for v in step.violations]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def total_trials(self) -> int:
-        return sum(step.trials for step in self.steps)
 
     @property
     def outcome_counts(self) -> Dict[str, int]:
@@ -248,34 +230,15 @@ class BitflipReport:
         }
 
 
-class BitflipCampaign:
+class BitflipCampaign(Campaign):
     """Flip every (strided) bit of every monitor-critical word.
 
-    Parameters
-    ----------
-    seed:
-        drives the monitor RNG and the OS backoff jitter; a campaign is
-        a deterministic function of (seed, engine, targets, stride).
-    engine:
-        enclave execution engine ("fast", "reference", or None).
+    Takes the :class:`~repro.faults.driver.Campaign` parameters
+    (``seed`` drives the monitor RNG and the OS backoff jitter;
+    ``stride`` flips every ``stride``-th (site, bit) pair), plus:
+
     targets:
         subset of :data:`TARGET_FAMILIES` to inject into (None = all).
-    stride:
-        inject every ``stride``-th (site, bit) pair (1 = exhaustive).
-    use_snapshots:
-        checkpoint each quiescent step once and rewind in place per
-        flip instead of deep-copying monitor+kernel per trial; reports
-        are bit-identical either way.
-    trial_timeout:
-        optional wall-clock budget (seconds) per trial; a wedged trial
-        is recorded as a violation instead of hanging the campaign
-        (``repro.util.watchdog``).  None disables.
-    shard:
-        optional ``(index, count)``: run only trials whose serial
-        ordinal is ``index`` modulo ``count``.  Enclave building, the
-        golden runs, and site enumeration still execute in full, so
-        sharded reports merge back into exactly the serial report —
-        see ``repro.faults.parallel``.
     """
 
     def __init__(
@@ -285,17 +248,10 @@ class BitflipCampaign:
         secure_pages: int = 16,
         targets: Optional[Iterable[str]] = None,
         stride: int = 1,
-        use_snapshots: bool = True,
         trial_timeout: Optional[float] = None,
         shard: Optional[Tuple[int, int]] = None,
     ) -> None:
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if shard is not None and not 0 <= shard[0] < shard[1]:
-            raise ValueError(f"shard index out of range: {shard}")
-        self.seed = seed
-        self.engine = engine
-        self.secure_pages = secure_pages
+        super().__init__(seed, engine, secure_pages, stride, trial_timeout, shard)
         if targets is None:
             self.targets = frozenset(TARGET_FAMILIES)
         else:
@@ -303,20 +259,8 @@ class BitflipCampaign:
             unknown = self.targets - frozenset(TARGET_FAMILIES)
             if unknown:
                 raise ValueError(f"unknown flip-target families: {sorted(unknown)}")
-        self.stride = stride
-        self.use_snapshots = use_snapshots
-        self.trial_timeout = trial_timeout
-        self.shard = shard
 
     # -- lifecycle machinery ---------------------------------------------
-
-    def _fresh(self) -> Tuple[KomodoMonitor, OSKernel]:
-        monitor = KomodoMonitor(
-            rng=HardwareRNG(self.seed),
-            secure_pages=self.secure_pages,
-            cpu_engine=self.engine,
-        )
-        return monitor, OSKernel(monitor)
 
     def _build_enclave(self, kernel: OSKernel, name: str) -> EnclavePages:
         as_page, l1 = kernel.init_addrspace()
@@ -401,15 +345,9 @@ class BitflipCampaign:
         kernel.finalise(rebuilt.as_page)
         outcome.results[enclave.name] = kernel.run_to_completion(rebuilt.thread)
 
-    def _continue_lifecycle(
-        self,
-        monitor: KomodoMonitor,
-        kernel: OSKernel,
-        enclaves: Sequence[EnclavePages],
-        needs_finalise: bool,
-        backoff_seed: int,
-    ) -> _Outcome:
+    def _continue_lifecycle(self, needs_finalise: bool, backoff_seed: int) -> _Outcome:
         """Drive the remaining lifecycle from a (possibly flipped) state."""
+        monitor, kernel, enclaves = self.monitor, self.kernel, self.enclaves
         outcome = _Outcome()
         for enclave in enclaves:
             self._ensure_ran(kernel, enclave, needs_finalise, backoff_seed, outcome)
@@ -439,15 +377,13 @@ class BitflipCampaign:
 
     # -- flip-site enumeration -------------------------------------------
 
-    def _flip_sites(
-        self, monitor: KomodoMonitor, enclaves: Sequence[EnclavePages]
-    ) -> List[FlipSite]:
+    def _flip_sites(self) -> List[FlipSite]:
         """Every injectable word of the current state, deterministically.
 
         The tag region's magic word is deliberately absent — it models a
         boot-ROM fuse, not DRAM (see the module docstring).
         """
-        state = monitor.state
+        state = self.monitor.state
         base = state.memmap.monitor_image.base
         npages = state.memmap.secure_pages
         sites: List[FlipSite] = []
@@ -455,7 +391,7 @@ class BitflipCampaign:
         def add(label: str, address: int, owner: Optional[str]) -> None:
             sites.append(FlipSite(label=label, address=address, owner=owner))
 
-        for enc in enclaves:
+        for enc in self.enclaves:
             if "pagedb" in self.targets:
                 for pageno in enc.all_pages:
                     entry = pagedb_entry_addr(base, pageno)
@@ -510,150 +446,67 @@ class BitflipCampaign:
 
     # -- the campaign ----------------------------------------------------
 
-    def _snapshots(self):
-        """Build both enclaves and capture the quiescent step states.
-
-        Yields ``(name, monitor, kernel, enclaves, needs_finalise)``;
-        the monitor/kernel pair in each snapshot is private to that step
-        (trials deep-copy from it).
-        """
-        monitor, kernel = self._fresh()
-        victim = self._build_enclave(kernel, "victim")
-        bystander = self._build_enclave(kernel, "bystander")
-        enclaves = (victim, bystander)
-        snapshots = []
-
-        def snap(name: str, needs_finalise: bool) -> None:
-            monitor.state.uarch.reset()
-            mon_copy, kern_copy = copy.deepcopy((monitor, kernel))
-            snapshots.append((name, mon_copy, kern_copy, enclaves, needs_finalise))
-
-        snap("built", True)
-        for enclave in enclaves:
-            kernel.finalise(enclave.as_page)
-        snap("finalised", False)
-        for enclave in enclaves:
-            err, value = kernel.run_to_completion(enclave.thread)
-            if err is not KomErr.SUCCESS or value != EXIT_VALUE:
-                raise RuntimeError(f"campaign warm-up run failed: ({err!r}, {value:#x})")
-        snap("ran", False)
-        return snapshots
-
     def run(self) -> BitflipReport:
         report = BitflipReport(
             engine=self.engine or "default", seed=self.seed, stride=self.stride
         )
-        if not self.use_snapshots:
-            for name, monitor, kernel, enclaves, needs_finalise in self._snapshots():
-                report.steps.append(
-                    self._campaign_step(name, monitor, kernel, enclaves, needs_finalise)
-                )
-            return report
-        # Snapshot mode: one machine is advanced through the quiescent
-        # phases; each campaign step checkpoints it, rewinds it per
-        # flip, and leaves it back at the pre-step state so the warm-up
-        # advancement below is identical to the deep-copy path's.
-        monitor, kernel = self._fresh()
+        self.monitor = self._boot()
+        self.kernel = kernel = OSKernel(self.monitor)
         victim = self._build_enclave(kernel, "victim")
         bystander = self._build_enclave(kernel, "bystander")
-        enclaves = (victim, bystander)
-        report.steps.append(
-            self._campaign_step("built", monitor, kernel, enclaves, True)
-        )
-        for enclave in enclaves:
+        self.enclaves = (victim, bystander)
+        self._step(report, "built", needs_finalise=True)
+        for enclave in self.enclaves:
             kernel.finalise(enclave.as_page)
-        report.steps.append(
-            self._campaign_step("finalised", monitor, kernel, enclaves, False)
-        )
-        for enclave in enclaves:
+        self._step(report, "finalised", needs_finalise=False)
+        for enclave in self.enclaves:
             err, value = kernel.run_to_completion(enclave.thread)
             if err is not KomErr.SUCCESS or value != EXIT_VALUE:
                 raise RuntimeError(f"campaign warm-up run failed: ({err!r}, {value:#x})")
-        report.steps.append(
-            self._campaign_step("ran", monitor, kernel, enclaves, False)
-        )
+        self._step(report, "ran", needs_finalise=False)
         return report
 
-    def _campaign_step(
-        self,
-        name: str,
-        monitor: KomodoMonitor,
-        kernel: OSKernel,
-        enclaves: Sequence[EnclavePages],
-        needs_finalise: bool,
-    ) -> StepSummary:
+    def _step(self, report: BitflipReport, name: str, needs_finalise: bool) -> None:
         summary = StepSummary(name=name)
-        sites = self._flip_sites(monitor, enclaves)
+        report.steps.append(summary)
+        checkpoint = CampaignSnapshot(self.monitor, self.kernel)
+        self._sweep(checkpoint, name, (summary, needs_finalise))
+
+    def _golden(self, at: Tuple[StepSummary, bool]):
+        """The unflipped continuation every trial must reconverge to."""
+        summary, needs_finalise = at
+        sites = self._flip_sites()
         summary.sites = len(sites)
-        if self.use_snapshots:
-            checkpoint = CampaignSnapshot(monitor, kernel)
-            fork = checkpoint.restore
-        else:
-
-            def fork() -> Tuple[KomodoMonitor, OSKernel]:
-                return copy.deepcopy((monitor, kernel))
-
-        # Golden: the unflipped continuation every trial must reconverge to.
-        gold_mon, gold_kern = fork()
-        golden = self._continue_lifecycle(
-            gold_mon, gold_kern, enclaves, needs_finalise, backoff_seed=0
-        )
-        summary.pre_violations.extend(
-            f"{name}: golden run: {p}" for p in golden.problems
-        )
+        golden = self._continue_lifecycle(needs_finalise, backoff_seed=0)
+        name, pre_violations = summary.name, summary.pre_violations
+        pre_violations.extend(f"{name}: golden run: {p}" for p in golden.problems)
         if golden.rebuilt or golden.quarantine_errors:
-            summary.pre_violations.append(f"{name}: golden run tripped the engine")
+            pre_violations.append(f"{name}: golden run tripped the engine")
         pairs = [(site, bit) for site in sites for bit in range(32)]
-        # Trials are isolated (each forks/rewinds the step state), so a
-        # shard may skip any subset without perturbing the rest.
-        for ordinal, (site, bit) in enumerate(pairs[:: self.stride]):
-            if self.shard is not None and ordinal % self.shard[1] != self.shard[0]:
-                continue
-            record = FlipRecord(ordinal=ordinal, site=site.label, bit=bit)
-            summary.flip_records.append(record)
-            try:
-                with time_limit(
-                    self.trial_timeout, f"{name} flip {site.label} bit {bit}"
-                ):
-                    self._trial(
-                        fork, enclaves, needs_finalise, site, bit, golden,
-                        summary.name, record,
-                    )
-            except TrialTimeout as exc:
-                # Keep the per-trial differential records aligned; the
-                # next fork() rewind discards the stranded machine.
-                record.outcome = "timeout"
-                record.digest = ""
-                record.cycles = -1
-                record.violations.append(f"{name}: {exc}")
-        if self.use_snapshots:
-            # Leave the base machine at the pre-step state.
-            checkpoint.restore()
-        return summary
+        return pairs[:: self.stride], golden
 
-    def _trial(
-        self,
-        fork,
-        enclaves: Sequence[EnclavePages],
-        needs_finalise: bool,
-        site: FlipSite,
-        bit: int,
-        golden: _Outcome,
-        step_name: str,
-        record: FlipRecord,
-    ) -> None:
-        monitor, kernel = fork()
+    def _golden_timed_out(self, at: Tuple[StepSummary, bool], violation: str) -> None:
+        at[0].pre_violations.append(violation)
+
+    def _record(self, at: Tuple[StepSummary, bool], ordinal: int, pair) -> FlipRecord:
+        site, bit = pair
+        record = FlipRecord(ordinal=ordinal, site=site.label, bit=bit)
+        at[0].flip_records.append(record)
+        return record
+
+    def _trial(self, at, golden: _Outcome, pair, record: FlipRecord) -> None:
+        summary, needs_finalise = at
+        site, bit = pair
+        monitor = self.monitor
         monitor.state.flip_bit(site.address, bit)
         # Did the engine's own walk notice?  (Read-only; decides only
         # whether "benign" is an honest classification.)
         detected = bool(integrity.consistency_problems(monitor.state))
         backoff_seed = (site.address << 5) ^ bit
-        outcome = self._continue_lifecycle(
-            monitor, kernel, enclaves, needs_finalise, backoff_seed
-        )
-        where = f"{step_name}: flip {site.label} bit {bit}"
+        outcome = self._continue_lifecycle(needs_finalise, backoff_seed)
+        where = f"{summary.name}: flip {site.label} bit {bit}"
         violations: List[str] = [f"{where}: {p}" for p in outcome.problems]
-        for enclave in enclaves:
+        for enclave in self.enclaves:
             result = outcome.results.get(enclave.name)
             if result != (KomErr.SUCCESS, EXIT_VALUE):
                 violations.append(
@@ -688,74 +541,27 @@ class BitflipCampaign:
 
 
 def run_differential(
-    seed: int = 0xB17F11B,
-    targets: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    secure_pages: int = 16,
-    engines: Tuple[str, ...] = ("fast", "reference"),
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-    shard: Optional[Tuple[int, int]] = None,
+    *, engines: Tuple[str, ...] = ("fast", "reference"), **kwargs
 ) -> Tuple:
-    """Run the campaign under each engine and compare them bit-for-bit.
-
-    Returns ``(*reports, mismatches)`` in ``engines`` order — the
-    default two-engine call keeps the historical
-    ``(fast, reference, mismatches)`` shape.  Every trial's outcome
-    class, final digest, and cycle counter must agree — a flip must not
-    surface in one engine's decode cache, micro-TLB, or block cache and
-    not the others'.
-    """
-    if len(engines) < 2:
-        raise ValueError("differential needs at least two engines")
-    tokens = None if targets is None else tuple(targets)
-    reports = []
-    for engine in engines:
-        campaign = BitflipCampaign(
-            seed=seed,
-            engine=engine,
-            secure_pages=secure_pages,
-            targets=tokens,
-            stride=stride,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=shard,
-        )
-        reports.append(campaign.run())
-    return (*reports, compare_reports(engines, reports))
+    """``(*reports, mismatches)``: the campaign (``kwargs``) under each
+    engine, compared pairwise."""
+    campaigns = [BitflipCampaign(engine=engine, **kwargs) for engine in engines]
+    return differential(campaigns, compare_reports)
 
 
 def compare_reports(
     engines: Sequence[str], reports: Sequence[BitflipReport]
 ) -> List[str]:
-    """Pairwise engine comparison over already-run bitflip reports.
-
-    Factored out of :func:`run_differential` so the sharded runner
-    (``repro.faults.parallel``) can recompute mismatches on *merged*
-    reports — byte-identical to what a serial differential prints.
-    """
-    base_name, baseline = engines[0], reports[0]
-    mismatches: List[str] = []
-    for engine, report in zip(engines[1:], reports[1:]):
-        for base_step, step in zip(baseline.steps, report.steps):
-            if base_step.sites != step.sites:
-                mismatches.append(
-                    f"{step.name}: site counts differ "
-                    f"({base_name} {base_step.sites}, {engine} {step.sites})"
-                )
-            if base_step.trial_outcomes != step.trial_outcomes:
-                mismatches.append(
-                    f"{step.name}: trial outcome classes differ "
-                    f"({base_name} vs {engine})"
-                )
-            if base_step.trial_digests != step.trial_digests:
-                mismatches.append(
-                    f"{step.name}: trial final digests differ "
-                    f"({base_name} vs {engine})"
-                )
-            if base_step.trial_cycles != step.trial_cycles:
-                mismatches.append(
-                    f"{step.name}: trial cycle counters differ "
-                    f"({base_name} vs {engine})"
-                )
-    return mismatches
+    """Every trial's outcome class, final digest and cycle counter must
+    agree — a flip must not surface in one engine's decode cache,
+    micro-TLB or block cache and not the others'."""
+    return compare_steps(
+        engines,
+        reports,
+        (
+            ("sites", "site counts", True),
+            ("trial_outcomes", "trial outcome classes", False),
+            ("trial_digests", "trial final digests", False),
+            ("trial_cycles", "trial cycle counters", False),
+        ),
+    )

@@ -3,12 +3,12 @@
 For every step of the lifecycle (init → map → finalise → enter → svc →
 stop → remove), the campaign:
 
-1. runs the step on a **discovery** copy of the machine, counting its
-   machine-visible monitor operations and snapshotting the quiescent
-   state at every transaction boundary;
-2. for each operation index ``n``, runs a **trial** on a fresh copy with
-   a plan that crashes the monitor at exactly the n-th operation, then
-   invokes ``KomodoMonitor.recover()`` and checks:
+1. runs a **discovery** pass of the step, counting its machine-visible
+   monitor operations and digesting the quiescent state at every
+   transaction boundary;
+2. for each operation index ``n``, runs a **trial** with a plan that
+   crashes the monitor at exactly the n-th operation, then invokes
+   ``KomodoMonitor.recover()`` and checks:
 
    * the full audit (spec invariants + machine-level walk) is clean;
    * the secure-state digest equals one of the discovery snapshots —
@@ -29,30 +29,26 @@ their per-step operation counts, digests, and cycle counters —
 injected aborts must not let the decode cache, micro-TLB, or compiled
 block cache desynchronise from flat memory.
 
-Trials default to snapshot acceleration: the pre-step state is
-captured once per step (``CampaignSnapshot``) and rewound in place per
-injected fault, instead of deep-copying the whole monitor per trial.
-``use_snapshots=False`` keeps the original deep-copy path; both paths
-produce bit-identical reports.
+Discovery and every trial fork from one pre-step ``CampaignSnapshot``
+through the shared driver loop (``repro.faults.driver``).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.arm.assembler import Assembler
 from repro.arm.pagetable import l1_index
-from repro.crypto.rng import HardwareRNG
 from repro.faults.audit import audit_monitor, secure_state_digest
+from repro.faults.driver import Campaign, Record, Report, Step
 from repro.faults.injector import FaultInjected, FaultPlan, inject
+from repro.faults.parallel import compare_steps, differential
 from repro.faults.snapshot import CampaignSnapshot
 from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
 from repro.monitor.layout import SMC, SVC, Mapping, PageType
 from repro.osmodel.kernel import OSKernel
-from repro.util.watchdog import TrialTimeout, time_limit
 
 #: Fixed secure-page assignment for the lifecycle enclave.
 AS_PAGE, L1_PAGE, L2_PAGE, CODE_PAGE, THREAD_PAGE = 0, 1, 2, 3, 4
@@ -74,7 +70,7 @@ class _Step:
 
 
 @dataclass
-class TrialRecord:
+class TrialRecord(Record):
     """One injected-fault trial.
 
     ``ordinal`` is the trial's index in the *serial* trial sequence
@@ -86,9 +82,13 @@ class TrialRecord:
     abort_at: int
     violations: List[str] = field(default_factory=list)
 
+    @property
+    def label(self) -> str:
+        return f"op {self.abort_at}"
+
 
 @dataclass
-class StepReport:
+class StepReport(Step):
     """Per-step results, with violations in explicit buckets.
 
     ``pre_violations`` come from the discovery pass, each trial's
@@ -96,6 +96,8 @@ class StepReport:
     come from the clean-run audit — the flattened ``violations``
     property reproduces the historical (serial-order) list exactly.
     """
+
+    RECORDS = "trial_records"
 
     name: str
     fault_points: int = 0
@@ -106,35 +108,15 @@ class StepReport:
     post_cycles: int = 0
 
     @property
-    def trials(self) -> int:
-        return len(self.trial_records)
-
-    @property
     def violations(self) -> List[str]:
-        out = list(self.pre_violations)
-        for record in self.trial_records:
-            out.extend(record.violations)
-        out.extend(self.post_violations)
-        return out
+        return super().violations + self.post_violations
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(Report):
     engine: str
     seed: int
     steps: List[StepReport] = field(default_factory=list)
-
-    @property
-    def violations(self) -> List[str]:
-        return [v for step in self.steps for v in step.violations]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def total_trials(self) -> int:
-        return sum(step.trials for step in self.steps)
 
     @property
     def total_fault_points(self) -> int:
@@ -155,41 +137,39 @@ def _program_words() -> List[int]:
     return asm.assemble()
 
 
-class LifecycleCampaign:
+def _lifecycle(staged: int) -> List[_Step]:
+    """The lifecycle's steps; ``staged`` is the program's staging page."""
+    code_mapping = Mapping(
+        va=CODE_VA, readable=True, writable=False, executable=True
+    ).encode()
+    steps = [
+        _Step("init_addrspace", SMC.INIT_ADDRSPACE, (AS_PAGE, L1_PAGE)),
+        _Step("init_l2ptable", SMC.INIT_L2PTABLE, (AS_PAGE, L2_PAGE, l1_index(CODE_VA))),
+        _Step("map_secure", SMC.MAP_SECURE, (AS_PAGE, CODE_PAGE, code_mapping, staged)),
+        _Step("init_thread", SMC.INIT_THREAD, (AS_PAGE, THREAD_PAGE, CODE_VA)),
+        _Step("finalise", SMC.FINALISE, (AS_PAGE,)),
+        _Step(_EXECUTE, None),
+        _Step("stop", SMC.STOP, (AS_PAGE,)),
+    ]
+    steps.extend(
+        _Step(f"remove_{['thread','code','l2','l1','as'][i]}", SMC.REMOVE, (p,))
+        for i, p in enumerate(REMOVE_ORDER)
+    )
+    return steps
+
+
+class LifecycleCampaign(Campaign):
     """Run the exhaustive per-step fault campaign.
 
-    Parameters
-    ----------
-    seed:
-        drives the monitor's hardware RNG; the whole campaign is a
-        deterministic function of (seed, engine, steps, stride).
-    engine:
-        execution engine for enclave code ("fast", "reference", or
-        None for the default).
+    Takes the :class:`~repro.faults.driver.Campaign` parameters
+    (``seed`` drives the monitor's hardware RNG; ``stride`` injects at
+    every ``stride``-th operation index), plus:
+
     inject_steps:
         restrict injection to steps whose name equals or starts with
         one of these tokens (e.g. ``["remove"]`` covers every Remove);
         all steps still *run* so the lifecycle advances.  None injects
-        everywhere.
-    stride:
-        inject at every ``stride``-th operation index (1 = exhaustive).
-    use_snapshots:
-        capture the pre-step state once per step with
-        ``CampaignSnapshot`` and rewind it in place per trial, instead
-        of deep-copying the monitor per trial.  Reports are
-        bit-identical either way (pinned by
-        tests/faults/test_snapshot.py); snapshots are just faster.
-    trial_timeout:
-        optional wall-clock budget (seconds) per discovery run / trial;
-        a wedged trial fails with a recorded violation instead of
-        hanging the campaign (``repro.util.watchdog``).  None disables.
-    shard:
-        optional ``(index, count)``: run only trials whose serial
-        ordinal is ``index`` modulo ``count``.  Discovery and the
-        clean-run lifecycle still execute in full (they are what every
-        shard's trials fork from), so ``count`` sharded reports merge
-        back into exactly the serial report — see
-        ``repro.faults.parallel``.
+        everywhere; a token matching no step is a ``ValueError``.
     """
 
     def __init__(
@@ -199,79 +179,23 @@ class LifecycleCampaign:
         secure_pages: int = 16,
         inject_steps: Optional[Iterable[str]] = None,
         stride: int = 1,
-        use_snapshots: bool = True,
         trial_timeout: Optional[float] = None,
         shard: Optional[Tuple[int, int]] = None,
     ) -> None:
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if shard is not None and not 0 <= shard[0] < shard[1]:
-            raise ValueError(f"shard index out of range: {shard}")
-        self.seed = seed
-        self.engine = engine
-        self.secure_pages = secure_pages
+        super().__init__(seed, engine, secure_pages, stride, trial_timeout, shard)
         self.inject_steps = None if inject_steps is None else tuple(inject_steps)
-        self.stride = stride
-        self.use_snapshots = use_snapshots
-        self.trial_timeout = trial_timeout
-        self.shard = shard
+        names = [step.name for step in _lifecycle(0)]
+        tokens = self.inject_steps or ()
+        unknown = [t for t in tokens if not any(n.startswith(t) for n in names)]
+        if unknown:
+            raise ValueError(f"unknown lifecycle steps {unknown}; expected {names}")
 
     # -- machinery -------------------------------------------------------
 
-    def _fresh_monitor(self) -> KomodoMonitor:
-        monitor = KomodoMonitor(
-            rng=HardwareRNG(self.seed),
-            secure_pages=self.secure_pages,
-            cpu_engine=self.engine,
-        )
-        # Stage the enclave program in insecure RAM (the OS's staging
-        # page); every trial copy inherits it.
-        state = monitor.state
-        state.memory.write_words(state.memmap.insecure.base, _program_words())
-        return monitor
-
-    def _steps(self, monitor: KomodoMonitor) -> List[_Step]:
-        staged = monitor.state.memmap.insecure.base
-        code_mapping = Mapping(
-            va=CODE_VA, readable=True, writable=False, executable=True
-        ).encode()
-        steps = [
-            _Step("init_addrspace", SMC.INIT_ADDRSPACE, (AS_PAGE, L1_PAGE)),
-            _Step(
-                "init_l2ptable",
-                SMC.INIT_L2PTABLE,
-                (AS_PAGE, L2_PAGE, l1_index(CODE_VA)),
-            ),
-            _Step(
-                "map_secure",
-                SMC.MAP_SECURE,
-                (AS_PAGE, CODE_PAGE, code_mapping, staged),
-            ),
-            _Step("init_thread", SMC.INIT_THREAD, (AS_PAGE, THREAD_PAGE, CODE_VA)),
-            _Step("finalise", SMC.FINALISE, (AS_PAGE,)),
-            _Step(_EXECUTE, None),
-            _Step("stop", SMC.STOP, (AS_PAGE,)),
-        ]
-        steps.extend(
-            _Step(f"remove_{['thread','code','l2','l1','as'][i]}", SMC.REMOVE, (p,))
-            for i, p in enumerate(REMOVE_ORDER)
-        )
-        return steps
-
     def _injects(self, step: _Step) -> bool:
-        if self.inject_steps is None:
-            return True
-        return any(
-            step.name == token or step.name.startswith(token)
-            for token in self.inject_steps
+        return self.inject_steps is None or any(
+            step.name.startswith(token) for token in self.inject_steps
         )
-
-    @staticmethod
-    def _copy(monitor: KomodoMonitor) -> KomodoMonitor:
-        # Decoded-instruction caches are heavy and rebuildable; reset
-        # before copying so snapshots stay cheap.
-        monitor.state.uarch.reset()
-        return copy.deepcopy(monitor)
 
     @staticmethod
     def _run_step(monitor: KomodoMonitor, step: _Step) -> None:
@@ -338,13 +262,17 @@ class LifecycleCampaign:
 
     def run(self) -> CampaignReport:
         report = CampaignReport(engine=self.engine or "default", seed=self.seed)
-        monitor = self._fresh_monitor()
-        steps = self._steps(monitor)
-        for index, step in enumerate(steps):
+        self.monitor = monitor = self._boot()
+        # Stage the enclave program in insecure RAM (the OS's staging
+        # page); every trial rewind keeps it.
+        staged = monitor.state.memmap.insecure.base
+        monitor.state.memory.write_words(staged, _program_words())
+        self.steps = _lifecycle(staged)
+        for index, step in enumerate(self.steps):
             step_report = StepReport(name=step.name)
             report.steps.append(step_report)
             if self._injects(step):
-                self._campaign_step(monitor, steps, index, step_report)
+                self._sweep(CampaignSnapshot(monitor), step.name, (index, step_report))
             # Advance the base machine through the step.
             self._run_step(monitor, step)
             clean = audit_monitor(monitor)
@@ -355,79 +283,35 @@ class LifecycleCampaign:
             step_report.post_cycles = monitor.state.cycles
         return report
 
-    def _campaign_step(
-        self,
-        base: KomodoMonitor,
-        steps: List[_Step],
-        index: int,
-        step_report: StepReport,
-    ) -> None:
-        step = steps[index]
-        if self.use_snapshots:
-            # Capture the pre-step state once; every probe/trial below
-            # is an in-place rewind of `base` itself.
-            checkpoint = CampaignSnapshot(base)
-
-            def fork() -> KomodoMonitor:
-                monitor, _ = checkpoint.restore()
-                return monitor
-
-            cleanup = fork
-        else:
-
-            def fork() -> KomodoMonitor:
-                return self._copy(base)
-
-            def cleanup() -> KomodoMonitor:
-                return base
-
-        # Discovery: count operations and snapshot quiescent boundaries.
-        probe = fork()
+    def _golden(self, at: Tuple[int, StepReport]):
+        """Discovery: count the step's operations and digest every
+        quiescent boundary a recovery may legally land on."""
+        index, step_report = at
+        probe = self.monitor
         boundaries = {secure_state_digest(probe.state)}
         plan = FaultPlan(
             on_boundary=lambda state: boundaries.add(secure_state_digest(state))
         )
-        try:
-            with time_limit(self.trial_timeout, f"{step.name} discovery"):
-                with inject(probe.state, plan):
-                    self._run_step(probe, step)
-        except TrialTimeout as exc:
-            step_report.pre_violations.append(f"{step.name}: {exc}")
-            cleanup()
-            return
+        with inject(probe.state, plan):
+            self._run_step(probe, self.steps[index])
         boundaries.add(secure_state_digest(probe.state))
         step_report.fault_points = plan.count
-        # Trials: crash at every (stride-th) operation.  Trials are
-        # isolated (each forks/rewinds the pre-step state), so a shard
-        # may skip any subset without perturbing the rest.
-        for ordinal, abort_at in enumerate(range(1, plan.count + 1, self.stride)):
-            if self.shard is not None and ordinal % self.shard[1] != self.shard[0]:
-                continue
-            trial = fork()
-            record = TrialRecord(ordinal=ordinal, abort_at=abort_at)
-            step_report.trial_records.append(record)
-            try:
-                with time_limit(self.trial_timeout, f"{step.name} op {abort_at}"):
-                    self._trial(
-                        trial, steps, index, abort_at, boundaries, record.violations
-                    )
-            except TrialTimeout as exc:
-                # A timeout may strand the trial machine mid-step; the
-                # next fork() rewind (or throwaway copy) discards it.
-                record.violations.append(f"{step.name}: {exc}")
-        # Leave `base` at the pre-step state for the clean run.
-        cleanup()
+        return range(1, plan.count + 1, self.stride), boundaries
 
-    def _trial(
-        self,
-        trial: KomodoMonitor,
-        steps: List[_Step],
-        index: int,
-        abort_at: int,
-        boundaries,
-        violations: List[str],
-    ) -> None:
-        step = steps[index]
+    def _golden_timed_out(self, at: Tuple[int, StepReport], violation: str) -> None:
+        at[1].pre_violations.append(violation)
+
+    def _record(self, at: Tuple[int, StepReport], ordinal: int, abort_at: int):
+        record = TrialRecord(ordinal=ordinal, abort_at=abort_at)
+        at[1].trial_records.append(record)
+        return record
+
+    def _trial(self, at, boundaries, abort_at: int, record: TrialRecord) -> None:
+        """Crash the step at operation ``abort_at``, recover, classify."""
+        index = at[0]
+        step = self.steps[index]
+        trial = self.monitor
+        violations = record.violations
         trial_plan = FaultPlan(abort_at=abort_at)
         crashed = False
         try:
@@ -450,75 +334,31 @@ class LifecycleCampaign:
             violations.append(
                 f"{where}: recovered state is neither pre-call nor completed"
             )
-        violations.extend(self._finish_after_crash(trial, steps, index))
+        violations.extend(self._finish_after_crash(trial, self.steps, index))
 
 
 def run_differential(
-    seed: int = 0xC0FFEE,
-    inject_steps: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    secure_pages: int = 16,
-    engines: Tuple[str, ...] = ("fast", "reference"),
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-    shard: Optional[Tuple[int, int]] = None,
+    *, engines: Tuple[str, ...] = ("fast", "reference"), **kwargs
 ) -> Tuple:
-    """Run the campaign under each engine and compare them pairwise.
-
-    Returns ``(*reports, mismatches)`` in ``engines`` order — the
-    default two-engine call keeps the historical
-    ``(fast, reference, mismatches)`` shape.  All engines must agree
-    on every step's operation count, post-step digest, and cycle
-    counter: an injected abort that left the decode cache, micro-TLB,
-    or block cache inconsistent with flat memory would show up here.
-    """
-    if len(engines) < 2:
-        raise ValueError("differential needs at least two engines")
-    tokens = None if inject_steps is None else tuple(inject_steps)
-    reports = []
-    for engine in engines:
-        campaign = LifecycleCampaign(
-            seed=seed,
-            engine=engine,
-            secure_pages=secure_pages,
-            inject_steps=tokens,
-            stride=stride,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=shard,
-        )
-        reports.append(campaign.run())
-    return (*reports, compare_reports(engines, reports))
+    """``(*reports, mismatches)``: the campaign (``kwargs``) under each
+    engine, compared pairwise."""
+    campaigns = [LifecycleCampaign(engine=engine, **kwargs) for engine in engines]
+    return differential(campaigns, compare_reports)
 
 
 def compare_reports(
     engines: Sequence[str], reports: Sequence[CampaignReport]
 ) -> List[str]:
-    """Pairwise engine comparison over already-run campaign reports.
-
-    Factored out of :func:`run_differential` so the sharded runner
-    (``repro.faults.parallel``) can recompute mismatches on *merged*
-    reports — byte-identical to what a serial differential prints.
-    """
-    base_name, baseline = engines[0], reports[0]
-    mismatches: List[str] = []
-    for engine, report in zip(engines[1:], reports[1:]):
-        for base_step, step in zip(baseline.steps, report.steps):
-            if base_step.fault_points != step.fault_points:
-                mismatches.append(
-                    f"{step.name}: fault points differ "
-                    f"({base_name} {base_step.fault_points}, "
-                    f"{engine} {step.fault_points})"
-                )
-            if base_step.post_digest != step.post_digest:
-                mismatches.append(
-                    f"{step.name}: post-step state digests differ "
-                    f"({base_name} vs {engine})"
-                )
-            if base_step.post_cycles != step.post_cycles:
-                mismatches.append(
-                    f"{step.name}: cycle counters differ "
-                    f"({base_name} {base_step.post_cycles}, "
-                    f"{engine} {step.post_cycles})"
-                )
-    return mismatches
+    """All engines must agree on every step's operation count, post-step
+    digest and cycle counter: an injected abort that left the decode
+    cache, micro-TLB or block cache inconsistent with flat memory would
+    show up here."""
+    return compare_steps(
+        engines,
+        reports,
+        (
+            ("fault_points", "fault points", True),
+            ("post_digest", "post-step state digests", False),
+            ("post_cycles", "cycle counters", True),
+        ),
+    )

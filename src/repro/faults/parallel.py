@@ -1,21 +1,20 @@
 """Sharded campaign execution: fork workers, merge byte-identical reports.
 
 Campaign trials are *embarrassingly parallel by construction*: every
-trial forks (or rewinds) the same captured pre-step state, so a shard
-that runs only every ``count``-th trial produces exactly the records a
-serial run would have produced for those ordinals.  This module supplies
-the three pieces that turn that property into a ``--jobs N`` flag:
+trial rewinds the same captured pre-step state, so a shard that runs
+only every ``count``-th trial produces exactly the records a serial run
+would have produced for those ordinals.  This module supplies the
+pieces that turn that property into a ``--jobs N`` flag:
 
 * :func:`run_shards` — fork ``jobs`` worker processes (POSIX ``fork``
   start method, so the workload closure is inherited, not pickled) and
   collect one picklable result per shard over a pipe;
-* ``merge_*_reports`` — deterministic merges that check every
-  shard-invariant field (discovery counts, golden digests, clean-run
-  audits) for agreement and interleave the per-trial records back into
-  serial order.  The merged report is **byte-identical** to the serial
-  report — :func:`report_digest` is the oracle CI pins that claim with;
-* sharded front-ends for the lifecycle, bitflip, and pipeline campaigns
-  (plus their tri-engine differentials) and for symbex witness replay.
+* :func:`merge_reports` — one merge for every campaign's report, which
+  is **byte-identical** to the serial report (:func:`report_digest` is
+  the oracle CI pins that claim with);
+* :func:`run_sharded` and :func:`differential` (one campaign per
+  engine) for any :class:`~repro.faults.driver.Campaign`, and
+  :func:`check_witnesses_sharded` for symbex witness replay.
 
 Each forked shard is a fresh process with its own main thread, so the
 campaigns' ``trial_timeout`` watchdog (``repro.util.watchdog``, SIGALRM
@@ -24,17 +23,13 @@ based) keeps working inside shards unchanged.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
-
-from repro.faults import bitflip as _bitflip
-from repro.faults import campaign as _campaign
-from repro.faults.bitflip import BitflipCampaign, BitflipReport, StepSummary
-from repro.faults.campaign import CampaignReport, LifecycleCampaign, StepReport
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 class ShardError(RuntimeError):
@@ -148,317 +143,109 @@ def _require(condition: bool, message: str) -> None:
         raise MergeError(message)
 
 
-def _merge_records(columns, field: str, key) -> List:
-    records = sorted(
-        (record for column in columns for record in getattr(column, field)),
-        key=key,
-    )
-    ordinals = [key(record) for record in records]
-    _require(
-        len(set(ordinals)) == len(ordinals),
-        f"duplicate trial ordinals across shards: {field}",
-    )
-    return records
+def merge_reports(shards: Sequence):
+    """Merge one campaign's shard reports into its serial report.
 
-
-def merge_campaign_reports(shards: Sequence[CampaignReport]) -> CampaignReport:
-    """Merge sharded lifecycle reports into the serial report."""
-    _require(bool(shards), "no shard reports to merge")
-    first = shards[0]
-    for other in shards[1:]:
-        _require(
-            (other.engine, other.seed) == (first.engine, first.seed),
-            "shards disagree on campaign identity (engine/seed)",
-        )
-        _require(
-            [s.name for s in other.steps] == [s.name for s in first.steps],
-            "shards disagree on the lifecycle step sequence",
-        )
-    merged = CampaignReport(engine=first.engine, seed=first.seed)
-    for index, base in enumerate(first.steps):
-        columns = [shard.steps[index] for shard in shards]
-        for column in columns[1:]:
-            _require(
-                (
-                    column.fault_points,
-                    column.pre_violations,
-                    column.post_violations,
-                    column.post_digest,
-                    column.post_cycles,
-                )
-                == (
-                    base.fault_points,
-                    base.pre_violations,
-                    base.post_violations,
-                    base.post_digest,
-                    base.post_cycles,
-                ),
-                f"step {base.name}: shards disagree on discovery/clean-run state",
-            )
-        merged.steps.append(
-            StepReport(
-                name=base.name,
-                fault_points=base.fault_points,
-                pre_violations=list(base.pre_violations),
-                trial_records=_merge_records(
-                    columns, "trial_records", lambda r: r.ordinal
-                ),
-                post_violations=list(base.post_violations),
-                post_digest=base.post_digest,
-                post_cycles=base.post_cycles,
-            )
-        )
-    return merged
-
-
-def merge_bitflip_reports(shards: Sequence[BitflipReport]) -> BitflipReport:
-    """Merge sharded bitflip reports into the serial report."""
-    _require(bool(shards), "no shard reports to merge")
-    first = shards[0]
-    for other in shards[1:]:
-        _require(
-            (other.engine, other.seed, other.stride)
-            == (first.engine, first.seed, first.stride),
-            "shards disagree on campaign identity (engine/seed/stride)",
-        )
-        _require(
-            [s.name for s in other.steps] == [s.name for s in first.steps],
-            "shards disagree on the quiescent step sequence",
-        )
-    merged = BitflipReport(engine=first.engine, seed=first.seed, stride=first.stride)
-    for index, base in enumerate(first.steps):
-        columns = [shard.steps[index] for shard in shards]
-        for column in columns[1:]:
-            _require(
-                (column.sites, column.pre_violations)
-                == (base.sites, base.pre_violations),
-                f"step {base.name}: shards disagree on sites or the golden run",
-            )
-        merged.steps.append(
-            StepSummary(
-                name=base.name,
-                sites=base.sites,
-                pre_violations=list(base.pre_violations),
-                flip_records=_merge_records(
-                    columns, "flip_records", lambda r: r.ordinal
-                ),
-            )
-        )
-    return merged
-
-
-def merge_pipeline_reports(shards: Sequence):
-    """Merge sharded pipeline chaos reports into the serial report.
-
-    Every shard runs the golden (kill-point 0) trial itself — the merge
-    asserts they agree and keeps one; kill trials interleave by their
-    strictly-ascending kill points.
+    Every field must agree across shards except a step's trial records
+    (the field its class names in ``RECORDS``), which interleave by each
+    record's ``shard_key``.  A record whose key is None (the pipeline's
+    golden trial) is one every shard runs: it must agree, and is kept
+    once, ahead of the keyed records.
     """
-    from repro.pipeline.campaign import PipelineReport
-
     _require(bool(shards), "no shard reports to merge")
-    first = shards[0]
-    for other in shards[1:]:
-        _require(
-            (other.pipeline, other.engine, other.ops, other.golden_digest)
-            == (first.pipeline, first.engine, first.ops, first.golden_digest),
-            "shards disagree on the golden run (pipeline/engine/ops/digest)",
+    return _merge(shards, "report")
+
+
+def _merge(nodes: Sequence, path: str):
+    first = nodes[0]
+    if isinstance(first, list):
+        _require(all(len(n) == len(first) for n in nodes), f"shards disagree on {path}")
+        return [_merge(column, f"{path}[{i}]") for i, column in enumerate(zip(*nodes))]
+    if not dataclasses.is_dataclass(first):
+        _require(all(node == first for node in nodes), f"shards disagree on {path}")
+        return first
+    records = getattr(first, "RECORDS", None)
+    fields = {}
+    for field in dataclasses.fields(first):
+        column = [getattr(node, field.name) for node in nodes]
+        where = f"{path}.{field.name}"
+        fields[field.name] = (
+            _interleave(column, where) if field.name == records else _merge(column, where)
         )
-        _require(
-            bool(other.trials) and other.trials[0] == first.trials[0],
-            "shards disagree on the golden trial verdict",
-        )
-    merged = PipelineReport(
-        pipeline=first.pipeline,
-        engine=first.engine,
-        ops=first.ops,
-        golden_digest=first.golden_digest,
+    return type(first)(**fields)
+
+
+def _interleave(columns: Sequence[List], path: str) -> List:
+    shared = [[r for r in column if r.shard_key is None] for column in columns]
+    _require(all(each == shared[0] for each in shared), f"shards disagree on {path}")
+    records = sorted(
+        (r for column in columns for r in column if r.shard_key is not None),
+        key=lambda record: record.shard_key,
     )
-    merged.trials.append(first.trials[0])
-    merged.trials.extend(
-        _merge_records(
-            [_Trials(shard.trials[1:]) for shard in shards],
-            "trials",
-            lambda t: t.kill_point,
-        )
-    )
-    return merged
+    keys = {record.shard_key for record in records}
+    _require(len(keys) == len(records), f"duplicate trial ordinals across shards: {path}")
+    return shared[0] + records
 
 
-@dataclasses.dataclass
-class _Trials:
-    """Adapter so :func:`_merge_records` can walk plain trial lists."""
-
-    trials: List
+# -- sharded campaigns --------------------------------------------------------
 
 
-# -- sharded campaign front-ends --------------------------------------------
+def _run_all(campaigns: Sequence, jobs: int) -> List:
+    """Each campaign's report, its trials striped across ``jobs`` shards."""
+
+    def shard(index: int, count: int) -> List:
+        reports = []
+        for campaign in campaigns:
+            part = copy.copy(campaign)
+            part.shard = (index, count) if count > 1 else None
+            reports.append(part.run())
+        return reports
+
+    return [merge_reports(column) for column in zip(*run_shards(shard, jobs))]
 
 
-def run_lifecycle_sharded(
-    jobs: int,
-    *,
-    seed: int = 0xC0FFEE,
-    engine: Optional[str] = None,
-    secure_pages: int = 16,
-    inject_steps: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-) -> CampaignReport:
-    tokens = None if inject_steps is None else tuple(inject_steps)
-
-    def shard(index: int, count: int) -> CampaignReport:
-        return LifecycleCampaign(
-            seed=seed,
-            engine=engine,
-            secure_pages=secure_pages,
-            inject_steps=tokens,
-            stride=stride,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=(index, count) if count > 1 else None,
-        ).run()
-
-    return merge_campaign_reports(run_shards(shard, jobs))
+def run_sharded(campaign, jobs: int):
+    """``campaign.run()`` across ``jobs`` forked shards, merged back into
+    the serial report."""
+    (report,) = _run_all([campaign], jobs)
+    return report
 
 
-def run_lifecycle_differential_sharded(
-    jobs: int,
-    *,
-    seed: int = 0xC0FFEE,
-    inject_steps: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    secure_pages: int = 16,
-    engines: Tuple[str, ...] = ("fast", "reference"),
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-) -> Tuple:
-    """Sharded tri-engine differential: ``(*reports, mismatches)``.
+def differential(campaigns: Sequence, compare_reports: Callable, jobs: int = 1) -> Tuple:
+    """Run one campaign per engine and compare them: ``(*reports,
+    mismatches)`` in ``campaigns`` order.
 
     Each shard runs *all* engines on its trial subset (the engine loop
     is the inner, cheap dimension; the trial sweep is the outer one),
-    reports merge per engine, and mismatches are recomputed on the
-    merged reports — identical to the serial differential's output.
+    reports merge per engine, and ``compare_reports(engines, reports)``
+    runs on the merged reports — identical to a serial differential.
     """
-    tokens = None if inject_steps is None else tuple(inject_steps)
-
-    def shard(index: int, count: int) -> Tuple[CampaignReport, ...]:
-        results = _campaign.run_differential(
-            seed=seed,
-            inject_steps=tokens,
-            stride=stride,
-            secure_pages=secure_pages,
-            engines=engines,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=(index, count) if count > 1 else None,
-        )
-        return tuple(results[:-1])  # per-shard mismatches are recomputed
-
-    per_shard = run_shards(shard, jobs)
-    merged = [
-        merge_campaign_reports([shard_reports[i] for shard_reports in per_shard])
-        for i in range(len(engines))
-    ]
-    return (*merged, _campaign.compare_reports(engines, merged))
+    if len(campaigns) < 2:
+        raise ValueError("differential needs at least two engines")
+    reports = _run_all(campaigns, jobs)
+    engines = [campaign.engine for campaign in campaigns]
+    return (*reports, compare_reports(engines, reports))
 
 
-def run_bitflip_sharded(
-    jobs: int,
-    *,
-    seed: int = 0xB17F11B,
-    engine: Optional[str] = None,
-    secure_pages: int = 16,
-    targets: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-) -> BitflipReport:
-    tokens = None if targets is None else tuple(targets)
-
-    def shard(index: int, count: int) -> BitflipReport:
-        return BitflipCampaign(
-            seed=seed,
-            engine=engine,
-            secure_pages=secure_pages,
-            targets=tokens,
-            stride=stride,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=(index, count) if count > 1 else None,
-        ).run()
-
-    return merge_bitflip_reports(run_shards(shard, jobs))
-
-
-def run_bitflip_differential_sharded(
-    jobs: int,
-    *,
-    seed: int = 0xB17F11B,
-    targets: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    secure_pages: int = 16,
-    engines: Tuple[str, ...] = ("fast", "reference"),
-    use_snapshots: bool = True,
-    trial_timeout: Optional[float] = None,
-) -> Tuple:
-    """Sharded bitflip differential: ``(*reports, mismatches)``."""
-    tokens = None if targets is None else tuple(targets)
-
-    def shard(index: int, count: int) -> Tuple[BitflipReport, ...]:
-        results = _bitflip.run_differential(
-            seed=seed,
-            targets=tokens,
-            stride=stride,
-            secure_pages=secure_pages,
-            engines=engines,
-            use_snapshots=use_snapshots,
-            trial_timeout=trial_timeout,
-            shard=(index, count) if count > 1 else None,
-        )
-        return tuple(results[:-1])
-
-    per_shard = run_shards(shard, jobs)
-    merged = [
-        merge_bitflip_reports([shard_reports[i] for shard_reports in per_shard])
-        for i in range(len(engines))
-    ]
-    return (*merged, _bitflip.compare_reports(engines, merged))
-
-
-def run_pipeline_sharded(
-    kind: str,
-    jobs: int,
-    *,
-    engine: str = "turbo",
-    seed: Optional[int] = None,
-    stride: int = 1,
-    requests=None,
-    secure_pages: Optional[int] = None,
-):
-    """Sharded pipeline chaos sweep, merged back to the serial report."""
-    from repro.pipeline.campaign import (
-        DEFAULT_SECURE_PAGES,
-        DEFAULT_SEED,
-        PipelineCampaign,
-    )
-
-    the_seed = DEFAULT_SEED if seed is None else seed
-    pages = DEFAULT_SECURE_PAGES if secure_pages is None else secure_pages
-
-    def shard(index: int, count: int):
-        return PipelineCampaign(
-            kind,
-            engine=engine,
-            seed=the_seed,
-            stride=stride,
-            requests=requests,
-            secure_pages=pages,
-            shard=(index, count) if count > 1 else None,
-        ).run()
-
-    return merge_pipeline_reports(run_shards(shard, jobs))
+def compare_steps(
+    engines: Sequence[str], reports: Sequence, fields: Sequence[Tuple[str, str, bool]]
+) -> List[str]:
+    """Each report against the first, step by step: a mismatch line per
+    ``(attribute, what, show values)`` of ``fields`` that differs."""
+    base_name, baseline = engines[0], reports[0]
+    mismatches: List[str] = []
+    for engine, report in zip(engines[1:], reports[1:]):
+        for base_step, step in zip(baseline.steps, report.steps):
+            for attribute, what, show in fields:
+                base, value = getattr(base_step, attribute), getattr(step, attribute)
+                if base != value:
+                    detail = (
+                        f"{base_name} {base}, {engine} {value}"
+                        if show
+                        else f"{base_name} vs {engine}"
+                    )
+                    mismatches.append(f"{step.name}: {what} differ ({detail})")
+    return mismatches
 
 
 def check_witnesses_sharded(

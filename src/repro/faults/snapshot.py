@@ -1,14 +1,12 @@
 """Campaign checkpoints: capture a lifecycle prefix once, restore per fault.
 
-The PR 3/4 fault campaigns re-ran every trial from a ``copy.deepcopy``
-of the monitor — correct, but the deep copy walks every Python object
-in the monitor graph for every injected fault, and campaign wall-clock
-(not correctness) had become the bound on how exhaustively CI can
-sweep.  ``CampaignSnapshot`` replaces the per-trial deep copy with an
-in-place rewind: the machine is captured through
+Every campaign trial forks by rewinding a ``CampaignSnapshot`` in
+place (``repro.faults.driver``): the machine is captured through
 ``MachineState.snapshot()`` (one flat ``array`` slice plus small
 register/TLB copies) and the handful of Python-side monitor/OS fields
-that execution mutates are recorded and written back.
+that execution mutates are recorded and written back.  Rewinding is
+cheaper than a per-trial ``copy.deepcopy``, which walks every Python
+object in the monitor graph.
 
 Restoring is equivalent to running the trial on a deep copy:
 
@@ -32,9 +30,9 @@ Restoring is equivalent to running the trial on a deep copy:
   forks bit-identically: the next trial's interleaving draws the same
   random choices the first one did.
 
-The regression suite (tests/faults/test_snapshot.py) pins the
-equivalence by running both campaign drivers with ``use_snapshots``
-on and off and comparing the reports byte for byte.
+tests/faults/test_snapshot.py checks a restore against a deep-copy
+fork, and tests/faults/test_report_digests.py pins whole-campaign
+reports by digest.
 
 Native-thread generators cannot be checkpointed (a suspended Python
 generator is not copyable); campaigns capture only at quiescent points

@@ -26,17 +26,17 @@ rather than looping forever.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arm.bits import words_to_bytes
-from repro.arm.machine import MachineState
-from repro.crypto.rng import HardwareRNG
+from repro.arm.machine import FaultInjected, MachineState
 from repro.crypto.sha256 import sha256
 from repro.faults.audit import audit_monitor
+from repro.faults.driver import Campaign, Record
 from repro.faults.injector import FaultPlan, inject
 from repro.faults.snapshot import CampaignSnapshot
-from repro.monitor.komodo import KomodoMonitor
 from repro.multicore.scheduler import MultiCoreMachine
 from repro.osmodel.kernel import OSKernel
 from repro.osmodel.saga import PipelineOutcome, run_pipeline
@@ -45,9 +45,11 @@ from repro.pipeline.errors import PipelineError
 from repro.pipeline.pipelines import (
     PIPELINE_KINDS,
     AttestSignSealPipeline,
+    CounterNotaryPipeline,
     Pipeline,
     build_pipeline,
 )
+from repro.util.watchdog import TrialTimeout
 
 DEFAULT_SECURE_PAGES = 48
 DEFAULT_SEED = 0x51BE
@@ -95,8 +97,6 @@ class RepeatingFaultPlan(FaultPlan):
             self.fires += 1
             self.fired = True
             self.abort_at = self.count + self.period
-            from repro.arm.machine import FaultInjected
-
             raise FaultInjected(self.count, kind, detail)
 
 
@@ -110,7 +110,7 @@ def default_requests(kind: str, count: int = DEFAULT_REQUESTS) -> List[List[int]
 
 
 @dataclass
-class TrialResult:
+class TrialResult(Record):
     """One kill point's verdict."""
 
     kill_point: int  # 0 = golden (fault-free) trial
@@ -123,10 +123,25 @@ class TrialResult:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def label(self) -> str:
+        return f"kill@{self.kill_point}"
+
+    @property
+    def shard_key(self) -> Optional[int]:
+        """Every shard runs the golden trial, so it has no key."""
+        return self.kill_point or None
+
+    def timed_out(self) -> None:
+        self.outcome = "timeout"
+
 
 @dataclass
 class PipelineReport:
     """Everything one pipeline's sweep produced."""
+
+    #: The field shards contribute to (``repro.faults.parallel``).
+    RECORDS = "trials"
 
     pipeline: str
     engine: str
@@ -147,16 +162,12 @@ class PipelineReport:
         return sum(
             1
             for t in self.trials
-            if t.outcome not in ("bit-exact", "hang", "violation")
+            if t.outcome not in ("bit-exact", "hang", "violation", "timeout")
         )
 
     @property
     def violations(self) -> List[str]:
-        out: List[str] = []
-        for trial in self.trials:
-            for violation in trial.violations:
-                out.append(f"kill@{trial.kill_point}: {violation}")
-        return out
+        return [f"{t.label}: {v}" for t in self.trials for v in t.violations]
 
     @property
     def ok(self) -> bool:
@@ -187,8 +198,6 @@ def outcome_digest(
 def _reply_values(pipeline: Pipeline, outcome: PipelineOutcome) -> List[int]:
     """Counter values carried by successful counter-notary replies.
     Other pipelines carry opaque blobs, not counter values."""
-    from repro.pipeline.pipelines import CounterNotaryPipeline
-
     if not isinstance(pipeline, CounterNotaryPipeline):
         return []
     values = []
@@ -198,8 +207,13 @@ def _reply_values(pipeline: Pipeline, outcome: PipelineOutcome) -> List[int]:
     return values
 
 
-class PipelineCampaign:
-    """Sweep stage-kill points across one pipeline's golden run."""
+class PipelineCampaign(Campaign):
+    """Sweep stage-kill points across one pipeline's golden run.
+
+    Takes the :class:`~repro.faults.driver.Campaign` parameters; the
+    trial points are the golden run's monitor operations (every
+    ``stride``-th, and always the last).
+    """
 
     def __init__(
         self,
@@ -212,26 +226,18 @@ class PipelineCampaign:
         requests: Optional[Sequence[Sequence[int]]] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         with_checksum: Optional[bool] = None,
+        trial_timeout: Optional[float] = None,
         shard: Optional[Tuple[int, int]] = None,
     ):
-        if stride < 1:
-            raise ValueError("stride must be at least 1")
-        if shard is not None:
-            index, count = shard
-            if count < 1 or not 0 <= index < count:
-                raise ValueError(f"bad shard {shard!r}")
+        super().__init__(seed, engine, secure_pages, stride, trial_timeout, shard)
+        if kind not in PIPELINE_KINDS:
+            raise ValueError(
+                f"unknown pipeline {kind!r}; expected one of {sorted(PIPELINE_KINDS)}"
+            )
         self.kind = kind
-        self.shard = shard
-        self.engine = engine
-        self.seed = seed
-        self.stride = stride
         self.max_steps = max_steps
         self.requests = [list(r) for r in (requests or default_requests(kind))]
-        self.monitor = KomodoMonitor(
-            secure_pages=secure_pages,
-            rng=HardwareRNG(seed),
-            cpu_engine=engine,
-        )
+        self.monitor = self._boot()
         self.kernel = OSKernel(self.monitor)
         self.pipeline = build_pipeline(kind, self.kernel)
         # The machine-code CRC leg makes the campaign engine-sensitive
@@ -254,16 +260,12 @@ class PipelineCampaign:
     # -- one trial ---------------------------------------------------------
 
     def _run_once(self, plan: Optional[FaultPlan]) -> PipelineOutcome:
+        """Rewind to the snapshot and run the pipeline under ``plan``."""
         self.snapshot.restore()
-        if plan is None:
-            return run_pipeline(
-                self.pipeline,
-                self.machine,
-                self.requests,
-                checksum=self.checksum,
-                max_steps=self.max_steps,
-            )
-        with inject(self.monitor.state, plan):
+        return self._run(plan)
+
+    def _run(self, plan: Optional[FaultPlan]) -> PipelineOutcome:
+        with nullcontext() if plan is None else inject(self.monitor.state, plan):
             return run_pipeline(
                 self.pipeline,
                 self.machine,
@@ -279,12 +281,12 @@ class PipelineCampaign:
             problems.append(f"counter value reused: {golden_values}")
         return problems
 
-    def _trial(
-        self, kill_point: int, plan: Optional[FaultPlan], golden_digest: str
-    ) -> TrialResult:
-        result = TrialResult(kill_point=kill_point, outcome="bit-exact")
+    def _trial(self, report, golden_digest: str, kill_point: int, result) -> None:
+        plan = FaultPlan(abort_at=kill_point)
         try:
-            outcome = self._run_once(plan)
+            outcome = self._run(plan)
+        except TrialTimeout:
+            raise
         except PipelineError as error:
             result.outcome = error.code
             result.detail = str(error)
@@ -311,26 +313,26 @@ class PipelineCampaign:
             result.violations.extend(
                 self._check_state(_reply_values(self.pipeline, outcome))
             )
-        if plan is not None and plan.fired:
-            index = min(plan.abort_at, len(plan.trace)) - 1
-            if isinstance(plan, RepeatingFaultPlan):
-                index = min(kill_point, len(plan.trace)) - 1
-            if 0 <= index < len(plan.trace):
-                result.op = plan.trace[index]
-        # A crash was requested but never fired: the trial degenerates
-        # to a golden re-run; record it so sweeps stay honest.
-        if plan is not None and plan.abort_at is not None and not plan.fired:
+        if plan.fired:
+            result.op = plan.trace[kill_point - 1]
+        else:
+            # The crash never fired: the trial degenerates to a golden
+            # re-run; record it so sweeps stay honest.
             result.detail = result.detail or "fault never fired"
-        return result
 
     # -- the sweep ---------------------------------------------------------
 
     def run(self) -> PipelineReport:
         report = PipelineReport(pipeline=self.kind, engine=self.engine)
-        # Golden + discovery in one pass: count every machine-visible
-        # monitor op of the fault-free run.
+        self._sweep(self.snapshot, self.kind, report)
+        return report
+
+    def _golden(self, report: PipelineReport):
+        """Golden + discovery in one pass: count every machine-visible
+        monitor op of the fault-free run, which every shard runs (the
+        merge asserts its trial agrees)."""
         discovery = FaultPlan()
-        golden = self._run_once(discovery)
+        golden = self._run(discovery)
         report.ops = discovery.count
         report.golden_digest = outcome_digest(self.pipeline, golden)
         golden_trial = TrialResult(kill_point=0, outcome="bit-exact")
@@ -341,24 +343,17 @@ class PipelineCampaign:
         kill_points = list(range(1, report.ops + 1, self.stride))
         if kill_points and kill_points[-1] != report.ops:
             kill_points.append(report.ops)
-        for ordinal, kill_point in enumerate(kill_points):
-            # Shards split the kill-point list by serial ordinal; the
-            # golden trial above runs in every shard (the merge asserts
-            # they agree) and trials rewind to the shared snapshot, so
-            # skipping some cannot perturb the rest.
-            if self.shard is not None and ordinal % self.shard[1] != self.shard[0]:
-                continue
-            plan = FaultPlan(abort_at=kill_point)
-            report.trials.append(
-                self._trial(kill_point, plan, report.golden_digest)
-            )
-        return report
+        return kill_points, report.golden_digest
 
-    def teardown(self) -> None:
-        # Trials leave the monitor mid-lifecycle; nothing to unwind —
-        # the campaign owns its monitor.  Kept for symmetry with the
-        # service wrappers.
-        pass
+    def _golden_timed_out(self, report: PipelineReport, violation: str) -> None:
+        report.trials.append(
+            TrialResult(kill_point=0, outcome="timeout", violations=[violation])
+        )
+
+    def _record(self, report: PipelineReport, ordinal: int, kill_point: int):
+        result = TrialResult(kill_point=kill_point, outcome="bit-exact")
+        report.trials.append(result)
+        return result
 
 
 def run_campaign(

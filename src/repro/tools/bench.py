@@ -19,10 +19,9 @@ Runs four suites and reports/records the results:
   between interpreters running in the same process is stable, so the
   CI regression gate is phrased on them.
 
-* **campaigns** — fault-campaign wall time with snapshot-accelerated
-  trials versus per-trial deep copies, asserting the reports are
-  bit-identical, plus a fork microbenchmark (ms per deep copy vs ms
-  per snapshot restore).
+* **campaigns** — fault-campaign wall time and violations, plus a fork
+  microbenchmark (ms per snapshot restore).  Campaign reports are
+  pinned by digest in tests/faults/test_report_digests.py.
 
 * **restore** — ``MachineState.restore`` latency, full-buffer copy vs
   O(dirty-pages) delta, across the dirty-page counts that bracket real
@@ -51,8 +50,7 @@ GitHub-flavoured markdown for ``$GITHUB_STEP_SUMMARY``.
 cycle count differs from the committed baseline (lost determinism), if
 an engine disagrees with the reference result, if a workload's speedup
 drops below 70 % of the baseline speedup (a >30 % throughput
-regression), or if the snapshot and deep-copy campaign paths stop
-producing identical reports.
+regression), or if a fault campaign reports a violation.
 """
 
 from __future__ import annotations
@@ -419,85 +417,44 @@ def run_paper_micro(repeats: int = 3) -> Dict[str, Dict[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# Campaign acceleration: snapshot rewind vs per-trial deep copy
+# Fault campaigns: wall time per campaign and per snapshot fork
 # ---------------------------------------------------------------------------
 
 
 def run_campaigns() -> Dict[str, object]:
-    """Time both fault campaigns with and without snapshot trials.
-
-    The reports must be bit-identical — the snapshot path is a pure
-    wall-clock optimisation.  Also reports the fork microbenchmark
-    (cost of one per-trial deep copy vs one snapshot restore), which is
-    the mechanism the end-to-end numbers amortise.
-    """
-    import copy as _copy
-
+    """Time both fault campaigns, plus the fork microbenchmark: the cost
+    of one snapshot restore of a built two-enclave state, which every
+    trial pays once."""
     from repro.faults.bitflip import BitflipCampaign
     from repro.faults.campaign import LifecycleCampaign
     from repro.faults.snapshot import CampaignSnapshot
+    from repro.osmodel.kernel import OSKernel
 
     out: Dict[str, object] = {}
-
-    def timed(factory) -> Tuple[object, float]:
+    for name, campaign in (
+        ("lifecycle", LifecycleCampaign(engine="turbo", stride=5)),
+        ("bitflip", BitflipCampaign(engine="turbo", stride=173, targets=("pagedb", "itag"))),
+    ):
         start = time.perf_counter()
-        report = factory().run()
-        return report, round(time.perf_counter() - start, 3)
+        report = campaign.run()
+        out[name] = {
+            "trials": report.total_trials,
+            "wall_s": round(time.perf_counter() - start, 3),
+            "violations": len(report.violations),
+        }
 
-    snap_report, snap_wall = timed(
-        lambda: LifecycleCampaign(engine="turbo", stride=5, use_snapshots=True)
-    )
-    deep_report, deep_wall = timed(
-        lambda: LifecycleCampaign(engine="turbo", stride=5, use_snapshots=False)
-    )
-    out["lifecycle"] = {
-        "trials": snap_report.total_trials,
-        "snapshot_wall_s": snap_wall,
-        "deepcopy_wall_s": deep_wall,
-        "speedup": round(deep_wall / snap_wall, 2),
-        "reports_identical": snap_report == deep_report,
-        "violations": len(snap_report.violations),
-    }
-
-    snap_report, snap_wall = timed(
-        lambda: BitflipCampaign(
-            engine="turbo", stride=173, targets=("pagedb", "itag"), use_snapshots=True
-        )
-    )
-    deep_report, deep_wall = timed(
-        lambda: BitflipCampaign(
-            engine="turbo", stride=173, targets=("pagedb", "itag"), use_snapshots=False
-        )
-    )
-    out["bitflip"] = {
-        "trials": snap_report.total_trials,
-        "snapshot_wall_s": snap_wall,
-        "deepcopy_wall_s": deep_wall,
-        "speedup": round(deep_wall / snap_wall, 2),
-        "reports_identical": snap_report == deep_report,
-        "violations": len(snap_report.violations),
-    }
-
-    # Fork microbenchmark on a built two-enclave state.
     campaign = BitflipCampaign(engine="turbo")
-    monitor, kernel = campaign._fresh()
+    monitor = campaign._boot()
+    kernel = OSKernel(monitor)
     campaign._build_enclave(kernel, "victim")
     campaign._build_enclave(kernel, "bystander")
-    loops = 100
-    start = time.perf_counter()
-    for _ in range(loops):
-        _copy.deepcopy((monitor, kernel))
-    deep_ms = (time.perf_counter() - start) / loops * 1e3
     checkpoint = CampaignSnapshot(monitor, kernel)
+    loops = 100
     start = time.perf_counter()
     for _ in range(loops):
         checkpoint.restore()
     restore_ms = (time.perf_counter() - start) / loops * 1e3
-    out["fork"] = {
-        "deepcopy_ms": round(deep_ms, 3),
-        "snapshot_restore_ms": round(restore_ms, 3),
-        "speedup": round(deep_ms / restore_ms, 2),
-    }
+    out["fork"] = {"snapshot_restore_ms": round(restore_ms, 3)}
     return out
 
 
@@ -673,22 +630,15 @@ def _print_report(report: Dict[str, object]) -> None:
             f"{walls['fast']:>9.2f} {walls['turbo']:>9.2f}"
         )
     print()
-    print(
-        f"{'campaign':<12} {'trials':>7} {'deepcopy s':>11} "
-        f"{'snapshot s':>11} {'speedup':>8} {'identical':>10}"
-    )
+    print(f"{'campaign':<12} {'trials':>7} {'wall s':>9} {'violations':>11}")
     for name in ("lifecycle", "bitflip"):
         row = report["campaigns"][name]
         print(
-            f"{name:<12} {row['trials']:>7} {row['deepcopy_wall_s']:>11.3f} "
-            f"{row['snapshot_wall_s']:>11.3f} {row['speedup']:>7.2f}x "
-            f"{str(row['reports_identical']):>10}"
+            f"{name:<12} {row['trials']:>7} {row['wall_s']:>9.3f} "
+            f"{row['violations']:>11}"
         )
     fork = report["campaigns"]["fork"]
-    print(
-        f"{'fork':<12} {'':>7} {fork['deepcopy_ms']:>10.3f}m "
-        f"{fork['snapshot_restore_ms']:>10.3f}m {fork['speedup']:>7.2f}x"
-    )
+    print(f"{'fork':<12} {'':>7} {fork['snapshot_restore_ms']:>8.3f}m")
     print()
     print(f"{'restore':<12} {'dirty pages':>12} {'delta us':>9} {'full us':>9} {'speedup':>8}")
     for row in report["restore"]["rows"]:
@@ -779,22 +729,18 @@ def summary_md(report: Dict[str, object]) -> str:
     fork = report["campaigns"]["fork"]
     lines += [
         "",
-        "### Campaign acceleration",
+        "### Fault campaigns",
         "",
-        "| campaign | trials | deepcopy s | snapshot s | speedup | identical |",
-        "| --- | ---: | ---: | ---: | ---: | --- |",
+        "| campaign | trials | wall s | violations |",
+        "| --- | ---: | ---: | ---: |",
     ]
     for name in ("lifecycle", "bitflip"):
         row = report["campaigns"][name]
         lines.append(
-            f"| {name} | {row['trials']} | {row['deepcopy_wall_s']:.3f} "
-            f"| {row['snapshot_wall_s']:.3f} | {row['speedup']:.2f}x "
-            f"| {row['reports_identical']} |"
+            f"| {name} | {row['trials']} | {row['wall_s']:.3f} "
+            f"| {row['violations']} |"
         )
-    lines.append(
-        f"| fork (ms/op) | | {fork['deepcopy_ms']:.3f} "
-        f"| {fork['snapshot_restore_ms']:.3f} | {fork['speedup']:.2f}x | |"
-    )
+    lines.append(f"| fork (ms/restore) | | {fork['snapshot_restore_ms']:.3f} | |")
     lines += [
         "",
         "### Snapshot restore (full vs delta)",
@@ -850,10 +796,6 @@ def _check(baseline: Dict[str, object], current: Dict[str, object]) -> List[str]
     if "campaigns" in baseline:
         for name in ("lifecycle", "bitflip"):
             row = current["campaigns"][name]
-            if not row["reports_identical"]:
-                failures.append(
-                    f"campaign {name}: snapshot and deep-copy reports diverge"
-                )
             if row["violations"]:
                 failures.append(f"campaign {name}: {row['violations']} violation(s)")
     if "restore" in baseline:

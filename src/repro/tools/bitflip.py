@@ -18,35 +18,25 @@ Usage::
     python -m repro.tools.bitflip --targets pagedb,itag
     python -m repro.tools.bitflip --stride 97        # every 97th (site, bit) pair
 
-``--stride N`` samples every N-th (site, bit) pair for a bounded smoke
-campaign; 1 is exhaustive (tens of thousands of trials — minutes, not
-seconds).  Every run is deterministic in ``--seed``.  Trials are
-snapshot-accelerated by default; ``--no-snapshot`` forces the original
-per-trial deep-copy path (same reports, slower).
-
-``--jobs N`` shards the (site, bit) sweep across N forked workers
-(``repro.faults.parallel``); the merged report and printed digest are
-byte-identical to the serial run's.  ``--verify-serial`` re-runs
-serially in-process and fails unless the digests agree.
+``--stride N`` samples every N-th (site, bit) pair; 1 is exhaustive (tens
+of thousands of trials — minutes, not seconds).  The other options are
+shared with every campaign CLI (``repro.tools.campaign_cli``).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import List
 
 from repro.faults.bitflip import (
     TARGET_FAMILIES,
     BitflipCampaign,
     BitflipReport,
-    run_differential,
+    compare_reports,
 )
-from repro.faults.parallel import (
-    report_digest,
-    run_bitflip_differential_sharded,
-    run_bitflip_sharded,
-)
+from repro.tools import campaign_cli
+from repro.tools.campaign_cli import CampaignTool, engine_leg, split_list
 
 
 def _print_report(report: BitflipReport) -> None:
@@ -69,165 +59,39 @@ def _print_report(report: BitflipReport) -> None:
     )
 
 
-def _print_violations(violations: List[str], limit: int = 20) -> None:
-    for violation in violations[:limit]:
-        print(f"  FAIL: {violation}")
-    if len(violations) > limit:
-        print(f"  ... and {len(violations) - limit} more")
-
-
-def _run(args, targets, jobs: int) -> Tuple[List[BitflipReport], List[str]]:
-    """Run the requested campaign(s); ``(reports, engine mismatches)``."""
-    if args.engine in ("both", "all"):
-        engines = ("fast", "reference") if args.engine == "both" else (
-            "fast", "reference", "turbo"
-        )
-        if jobs > 1:
-            *reports, mismatches = run_bitflip_differential_sharded(
-                jobs,
-                seed=args.seed,
-                targets=targets,
-                stride=args.stride,
-                secure_pages=args.secure_pages,
-                engines=engines,
-                use_snapshots=not args.no_snapshot,
-                trial_timeout=args.timeout,
-            )
-        else:
-            *reports, mismatches = run_differential(
-                seed=args.seed,
-                targets=targets,
-                stride=args.stride,
-                secure_pages=args.secure_pages,
-                engines=engines,
-                use_snapshots=not args.no_snapshot,
-                trial_timeout=args.timeout,
-            )
-        return list(reports), mismatches
-    if jobs > 1:
-        report = run_bitflip_sharded(
-            jobs,
-            seed=args.seed,
-            engine=args.engine,
-            secure_pages=args.secure_pages,
-            targets=targets,
-            stride=args.stride,
-            use_snapshots=not args.no_snapshot,
-            trial_timeout=args.timeout,
-        )
-    else:
-        report = BitflipCampaign(
-            seed=args.seed,
-            engine=args.engine,
-            secure_pages=args.secure_pages,
-            targets=targets,
-            stride=args.stride,
-            use_snapshots=not args.no_snapshot,
-            trial_timeout=args.timeout,
-        ).run()
-    return [report], []
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.bitflip",
-        description="memory-integrity bit-flip campaign",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 on any violation (CI gate)",
-    )
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=0xB17F11B)
-    parser.add_argument(
-        "--engine",
-        choices=("fast", "reference", "turbo", "both", "all"),
-        default="turbo",
-        help="execution engine (default: turbo, the fastest bit-identical "
-        "tier); 'both' = fast/reference differential, 'all' adds turbo",
-    )
-    parser.add_argument(
-        "--no-snapshot",
-        action="store_true",
-        help="deep-copy monitor+kernel per trial instead of snapshot rewind",
-    )
+def _add_arguments(parser) -> None:
     parser.add_argument(
         "--targets",
         default=None,
         help=f"comma-separated flip-target families {TARGET_FAMILIES}",
     )
-    parser.add_argument(
-        "--stride",
-        type=int,
-        default=1,
-        help="flip every N-th (site, bit) pair (1 = exhaustive)",
-    )
     parser.add_argument("--secure-pages", type=int, default=16)
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock watchdog per trial: a wedged trial fails that "
-        "trial with a recorded violation instead of hanging the run",
+
+
+def _legs(args) -> List[List[BitflipCampaign]]:
+    return engine_leg(
+        args,
+        partial(
+            BitflipCampaign,
+            secure_pages=args.secure_pages,
+            targets=split_list(args.targets),
+        ),
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard (site, bit) trials across N forked workers; the "
-        "merged report is byte-identical to the serial run (1 = serial)",
-    )
-    parser.add_argument(
-        "--verify-serial",
-        action="store_true",
-        help="also run the campaign serially and fail unless the report "
-        "digests match the --jobs run exactly",
-    )
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
-    targets = None
-    if args.targets:
-        targets = [token.strip() for token in args.targets.split(",") if token.strip()]
 
-    failures: List[str] = []
-    reports, mismatches = _run(args, targets, args.jobs)
-    for report in reports:
-        _print_report(report)
-        failures.extend(report.violations)
-        print(f"report digest [{report.engine}]: {report_digest(report)}")
-    if mismatches:
-        print("engine differential mismatches:")
-        _print_violations(mismatches)
-    failures.extend(mismatches)
+TOOL = CampaignTool(
+    name="bitflip",
+    description="memory-integrity bit-flip campaign",
+    seed=0xB17F11B,
+    stride=1,
+    passed="every injection was detected and contained (or provably benign)",
+    add_arguments=_add_arguments,
+    legs=_legs,
+    print_report=_print_report,
+    compare_reports=compare_reports,
+)
 
-    if args.verify_serial:
-        serial_reports, serial_mismatches = _run(args, targets, 1)
-        for parallel_report, serial_report in zip(reports, serial_reports):
-            jobs_digest = report_digest(parallel_report)
-            serial_digest = report_digest(serial_report)
-            verdict = "OK" if jobs_digest == serial_digest else "MISMATCH"
-            print(
-                f"verify-serial [{parallel_report.engine}]: jobs={args.jobs} "
-                f"{jobs_digest[:16]} vs serial {serial_digest[:16]}: {verdict}"
-            )
-            if jobs_digest != serial_digest:
-                failures.append(
-                    f"--jobs {args.jobs} report diverged from serial "
-                    f"({parallel_report.engine})"
-                )
-        if mismatches != serial_mismatches:
-            failures.append("--jobs differential mismatches diverged from serial")
-
-    if failures:
-        _print_violations(failures)
-        print(f"bitflip: {len(failures)} violation(s)")
-        return 1
-    print("bitflip: every injection was detected and contained (or provably benign)")
-    return 0
+main = partial(campaign_cli.main, TOOL)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional
 
 from repro.arm.machine import MachineState
 from repro.faults.campaign import LifecycleCampaign
-from repro.faults.parallel import report_digest, run_lifecycle_sharded
+from repro.faults.parallel import report_digest, run_sharded
 from repro.util.watchdog import TrialTimeout, time_limit
 
 BENCH_VERSION = 1
@@ -125,8 +125,8 @@ def bench_campaign(
     ).run()
     serial_s = time.perf_counter() - start
     start = time.perf_counter()
-    sharded = run_lifecycle_sharded(
-        jobs, seed=CAMPAIGN_SEED, engine="turbo", stride=stride
+    sharded = run_sharded(
+        LifecycleCampaign(seed=CAMPAIGN_SEED, engine="turbo", stride=stride), jobs
     )
     jobs_s = time.perf_counter() - start
     serial_digest = report_digest(serial)
@@ -272,8 +272,9 @@ def check_live(quick_stride: int = 17) -> List[str]:
         serial = LifecycleCampaign(
             seed=CAMPAIGN_SEED, engine="turbo", stride=quick_stride
         ).run()
-        sharded = run_lifecycle_sharded(
-            2, seed=CAMPAIGN_SEED, engine="turbo", stride=quick_stride
+        sharded = run_sharded(
+            LifecycleCampaign(seed=CAMPAIGN_SEED, engine="turbo", stride=quick_stride),
+            2,
         )
         if report_digest(serial) != report_digest(sharded):
             problems.append("live sharded campaign digest != serial")

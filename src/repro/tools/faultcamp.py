@@ -15,34 +15,19 @@ Usage::
 
 ``--steps`` restricts *injection* to the named steps (prefix match, so
 ``remove`` covers every Remove); the lifecycle itself always runs in
-full.  ``--stride N`` injects at every N-th operation for a bounded
-smoke campaign.  Every run is deterministic in ``--seed``.  Trials are
-snapshot-accelerated by default; ``--no-snapshot`` forces the original
-per-trial deep-copy path (same reports, slower).
-
-``--jobs N`` shards the trial sweep across N forked worker processes
-(``repro.faults.parallel``); the merged report — and the digest the
-tool prints — is byte-identical to the serial run's.  ``--verify-serial``
-additionally re-runs the campaign serially in-process and fails unless
-the digests agree (the CI leg that pins the claim).
+full.  ``--stride N`` injects at every N-th operation.  The other
+options are shared with every campaign CLI (``repro.tools.campaign_cli``).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import List
 
-from repro.faults.campaign import (
-    CampaignReport,
-    LifecycleCampaign,
-    run_differential,
-)
-from repro.faults.parallel import (
-    report_digest,
-    run_lifecycle_differential_sharded,
-    run_lifecycle_sharded,
-)
+from repro.faults.campaign import CampaignReport, LifecycleCampaign, compare_reports
+from repro.tools import campaign_cli
+from repro.tools.campaign_cli import CampaignTool, engine_leg, split_list
 
 
 def _print_report(report: CampaignReport) -> None:
@@ -59,165 +44,39 @@ def _print_report(report: CampaignReport) -> None:
     )
 
 
-def _print_violations(violations: List[str], limit: int = 20) -> None:
-    for violation in violations[:limit]:
-        print(f"  FAIL: {violation}")
-    if len(violations) > limit:
-        print(f"  ... and {len(violations) - limit} more")
-
-
-def _run(args, inject_steps, jobs: int) -> Tuple[List[CampaignReport], List[str]]:
-    """Run the requested campaign(s); ``(reports, engine mismatches)``."""
-    if args.engine in ("both", "all"):
-        engines = ("fast", "reference") if args.engine == "both" else (
-            "fast", "reference", "turbo"
-        )
-        if jobs > 1:
-            *reports, mismatches = run_lifecycle_differential_sharded(
-                jobs,
-                seed=args.seed,
-                inject_steps=inject_steps,
-                stride=args.stride,
-                secure_pages=args.secure_pages,
-                engines=engines,
-                use_snapshots=not args.no_snapshot,
-                trial_timeout=args.timeout,
-            )
-        else:
-            *reports, mismatches = run_differential(
-                seed=args.seed,
-                inject_steps=inject_steps,
-                stride=args.stride,
-                secure_pages=args.secure_pages,
-                engines=engines,
-                use_snapshots=not args.no_snapshot,
-                trial_timeout=args.timeout,
-            )
-        return list(reports), mismatches
-    if jobs > 1:
-        report = run_lifecycle_sharded(
-            jobs,
-            seed=args.seed,
-            engine=args.engine,
-            secure_pages=args.secure_pages,
-            inject_steps=inject_steps,
-            stride=args.stride,
-            use_snapshots=not args.no_snapshot,
-            trial_timeout=args.timeout,
-        )
-    else:
-        report = LifecycleCampaign(
-            seed=args.seed,
-            engine=args.engine,
-            secure_pages=args.secure_pages,
-            inject_steps=inject_steps,
-            stride=args.stride,
-            use_snapshots=not args.no_snapshot,
-            trial_timeout=args.timeout,
-        ).run()
-    return [report], []
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.faultcamp",
-        description="monitor crash-consistency campaign",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 on any violation (CI gate)",
-    )
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=0xC0FFEE)
-    parser.add_argument(
-        "--engine",
-        choices=("fast", "reference", "turbo", "both", "all"),
-        default="turbo",
-        help="execution engine (default: turbo, the fastest bit-identical "
-        "tier); 'both' = fast/reference differential, 'all' adds turbo",
-    )
-    parser.add_argument(
-        "--no-snapshot",
-        action="store_true",
-        help="deep-copy the monitor per trial instead of snapshot rewind",
-    )
+def _add_arguments(parser) -> None:
     parser.add_argument(
         "--steps",
         default=None,
         help="comma-separated step names (prefix match) to inject on",
     )
-    parser.add_argument(
-        "--stride",
-        type=int,
-        default=1,
-        help="inject at every N-th operation (1 = exhaustive)",
-    )
     parser.add_argument("--secure-pages", type=int, default=16)
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock watchdog per trial: a wedged trial fails that "
-        "trial with a recorded violation instead of hanging the run",
+
+
+def _legs(args) -> List[List[LifecycleCampaign]]:
+    return engine_leg(
+        args,
+        partial(
+            LifecycleCampaign,
+            secure_pages=args.secure_pages,
+            inject_steps=split_list(args.steps),
+        ),
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard trials across N forked workers; the merged report "
-        "is byte-identical to the serial run (1 = serial)",
-    )
-    parser.add_argument(
-        "--verify-serial",
-        action="store_true",
-        help="also run the campaign serially and fail unless the report "
-        "digests match the --jobs run exactly",
-    )
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
-    inject_steps = None
-    if args.steps:
-        inject_steps = [token.strip() for token in args.steps.split(",") if token.strip()]
 
-    failures: List[str] = []
-    reports, mismatches = _run(args, inject_steps, args.jobs)
-    for report in reports:
-        _print_report(report)
-        failures.extend(report.violations)
-        print(f"report digest [{report.engine}]: {report_digest(report)}")
-    if mismatches:
-        print("engine differential mismatches:")
-        _print_violations(mismatches)
-    failures.extend(mismatches)
+TOOL = CampaignTool(
+    name="faultcamp",
+    description="monitor crash-consistency campaign",
+    seed=0xC0FFEE,
+    stride=1,
+    passed="every injection point recovered to a quiescent state",
+    add_arguments=_add_arguments,
+    legs=_legs,
+    print_report=_print_report,
+    compare_reports=compare_reports,
+)
 
-    if args.verify_serial:
-        serial_reports, serial_mismatches = _run(args, inject_steps, 1)
-        for parallel_report, serial_report in zip(reports, serial_reports):
-            jobs_digest = report_digest(parallel_report)
-            serial_digest = report_digest(serial_report)
-            verdict = "OK" if jobs_digest == serial_digest else "MISMATCH"
-            print(
-                f"verify-serial [{parallel_report.engine}]: jobs={args.jobs} "
-                f"{jobs_digest[:16]} vs serial {serial_digest[:16]}: {verdict}"
-            )
-            if jobs_digest != serial_digest:
-                failures.append(
-                    f"--jobs {args.jobs} report diverged from serial "
-                    f"({parallel_report.engine})"
-                )
-        if mismatches != serial_mismatches:
-            failures.append("--jobs differential mismatches diverged from serial")
-
-    if failures:
-        _print_violations(failures)
-        print(f"faultcamp: {len(failures)} violation(s)")
-        return 1
-    print("faultcamp: every injection point recovered to a quiescent state")
-    return 0
+main = partial(campaign_cli.main, TOOL)
 
 
 if __name__ == "__main__":

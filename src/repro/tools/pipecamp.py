@@ -17,29 +17,25 @@ Usage::
 
 ``--engine all`` runs the sweep on the turbo engine and adds a bounded
 differential leg: the golden run must produce the identical logical
-digest on all three execution engines.
-
-``--jobs N`` shards each pipeline's kill points across N forked workers
-(``repro.faults.parallel``); the merged report and printed digest are
-byte-identical to the serial run's.  ``--verify-serial`` re-runs the
-sweep serially in-process and fails on any digest divergence.
+digest on all three execution engines.  The other options are shared
+with every campaign CLI (``repro.tools.campaign_cli``).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import List
 
-from repro.faults.parallel import report_digest, run_pipeline_sharded
 from repro.pipeline.campaign import (
     DEFAULT_SEED,
+    PipelineCampaign,
     PipelineReport,
-    run_campaign,
     tri_engine_digests,
 )
 from repro.pipeline.pipelines import PIPELINE_KINDS
-from repro.util.watchdog import TrialTimeout, time_limit
+from repro.tools import campaign_cli
+from repro.tools.campaign_cli import CampaignTool, shared, split_list
 
 _ENGINES = ("fast", "reference", "turbo")
 
@@ -50,135 +46,64 @@ def _print_report(report: PipelineReport) -> None:
         f"kill-points={report.kill_points} bit-exact={report.bit_exact} "
         f"typed-retryable={report.retryable}"
     )
-    for violation in report.violations[:20]:
-        print(f"  FAIL: {violation}")
-    if len(report.violations) > 20:
-        print(f"  ... and {len(report.violations) - 20} more")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.pipecamp",
-        description="crash composite enclave pipelines at every monitor "
-        "op; gate on bit-exact-or-typed-retryable termination",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 on any violation or hang (CI gate)",
-    )
-    parser.add_argument(
-        "--stride",
-        type=int,
-        default=7,
-        help="sample every N-th monitor op as a kill point (1 = exhaustive)",
-    )
+def _add_arguments(parser) -> None:
     parser.add_argument(
         "--pipelines",
         default=None,
         help=f"comma-separated pipeline kinds (default: all: "
         f"{','.join(sorted(PIPELINE_KINDS))})",
     )
-    parser.add_argument(
-        "--engine",
-        choices=_ENGINES + ("all",),
-        default="turbo",
-        help="execution engine for the sweep; 'all' adds the tri-engine "
-        "golden differential leg",
-    )
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock watchdog over the whole campaign (CI safety net)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard kill points across N forked workers; the merged "
-        "report is byte-identical to the serial run (1 = serial)",
-    )
-    parser.add_argument(
-        "--verify-serial",
-        action="store_true",
-        help="also run each sweep serially and fail unless the report "
-        "digests match the --jobs run exactly",
-    )
-    args = parser.parse_args(argv)
-    if args.stride < 1:
-        parser.error("--stride must be at least 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
-    kinds = sorted(PIPELINE_KINDS)
-    if args.pipelines:
-        kinds = [token.strip() for token in args.pipelines.split(",") if token.strip()]
-        for kind in kinds:
-            if kind not in PIPELINE_KINDS:
-                parser.error(
-                    f"unknown pipeline {kind!r} (expected one of "
-                    f"{sorted(PIPELINE_KINDS)})"
-                )
 
-    sweep_engine = "turbo" if args.engine == "all" else args.engine
-    failures = 0
-    try:
-        with time_limit(args.timeout, label="pipecamp"):
-            for kind in kinds:
-                if args.jobs > 1:
-                    report = run_pipeline_sharded(
-                        kind,
-                        args.jobs,
-                        engine=sweep_engine,
-                        seed=args.seed,
-                        stride=args.stride,
-                    )
-                else:
-                    report = run_campaign(
-                        kind, engine=sweep_engine, seed=args.seed, stride=args.stride
-                    )
-                _print_report(report)
-                print(f"{kind:<18} report digest: {report_digest(report)}")
-                failures += len(report.violations)
-                if args.verify_serial:
-                    serial = run_campaign(
-                        kind, engine=sweep_engine, seed=args.seed, stride=args.stride
-                    )
-                    jobs_digest = report_digest(report)
-                    serial_digest = report_digest(serial)
-                    verdict = "OK" if jobs_digest == serial_digest else "MISMATCH"
-                    print(
-                        f"{kind:<18} verify-serial: jobs={args.jobs} "
-                        f"{jobs_digest[:16]} vs serial {serial_digest[:16]}: "
-                        f"{verdict}"
-                    )
-                    if jobs_digest != serial_digest:
-                        failures += 1
-            if args.engine == "all":
-                for kind in kinds:
-                    digests = tri_engine_digests(kind, _ENGINES, seed=args.seed)
-                    agree = len(set(digests.values())) == 1
-                    print(
-                        f"{kind:<18} tri-engine golden: "
-                        f"{'agree' if agree else 'SPLIT ' + repr(digests)}"
-                    )
-                    if not agree:
-                        failures += 1
-    except TrialTimeout as timeout:
-        print(f"pipecamp: {timeout}")
-        return 1
-    if failures == 0:
+def _kinds(args) -> List[str]:
+    return split_list(args.pipelines) or sorted(PIPELINE_KINDS)
+
+
+def _legs(args) -> List[List[PipelineCampaign]]:
+    engine = "turbo" if args.engine == "all" else args.engine
+    return [
+        [PipelineCampaign(kind, engine=engine, **shared(args))] for kind in _kinds(args)
+    ]
+
+
+def _tri_engine_golden(args) -> List[str]:
+    """``--engine all``: the golden digest must agree on every engine."""
+    if args.engine != "all":
+        return []
+    failures = []
+    for kind in _kinds(args):
+        digests = tri_engine_digests(kind, _ENGINES, seed=args.seed)
+        agree = len(set(digests.values())) == 1
         print(
-            "pipecamp: every trial terminated bit-exact or typed-retryable; "
-            "invariants and audits clean"
+            f"{kind:<18} tri-engine golden: "
+            f"{'agree' if agree else 'SPLIT ' + repr(digests)}"
         )
-        return 0
-    print(f"pipecamp: {failures} violation(s)")
-    return 1 if args.check else 0
+        if not agree:
+            failures.append(f"{kind}: tri-engine golden digests split")
+    return failures
+
+
+TOOL = CampaignTool(
+    name="pipecamp",
+    description="crash composite enclave pipelines at every monitor "
+    "op; gate on bit-exact-or-typed-retryable termination",
+    seed=DEFAULT_SEED,
+    stride=7,
+    engines=_ENGINES + ("all",),
+    engine_help="'all' sweeps on turbo and adds the tri-engine golden "
+    "differential leg",
+    passed="every trial terminated bit-exact or typed-retryable; "
+    "invariants and audits clean",
+    add_arguments=_add_arguments,
+    legs=_legs,
+    print_report=_print_report,
+    tag=lambda report: report.pipeline,
+    extra=_tri_engine_golden,
+)
+
+main = partial(campaign_cli.main, TOOL)
 
 
 if __name__ == "__main__":

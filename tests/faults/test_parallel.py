@@ -10,23 +10,23 @@ clean-run audits).
 """
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.faults.bitflip import BitflipCampaign
-from repro.faults.campaign import LifecycleCampaign, run_differential
+from repro.faults.campaign import LifecycleCampaign, compare_reports, run_differential
 from repro.faults.parallel import (
     MergeError,
     ShardError,
-    merge_campaign_reports,
+    merge_reports,
     report_digest,
-    run_bitflip_sharded,
-    run_lifecycle_differential_sharded,
-    run_lifecycle_sharded,
-    run_pipeline_sharded,
+    run_sharded,
     run_shards,
     check_witnesses_sharded,
+    differential,
 )
+from repro.pipeline.campaign import PipelineCampaign, run_campaign
 
 
 class TestRunShards:
@@ -55,6 +55,15 @@ class TestRunShards:
         with pytest.raises(ShardError, match="shard 1/2.*boom in shard one"):
             run_shards(fn, 2)
 
+    def test_worker_death_raises_shard_error(self):
+        def fn(index, count):
+            if index == 1:
+                os._exit(3)
+            return index
+
+        with pytest.raises(ShardError, match="shard 1/2.*died without reporting"):
+            run_shards(fn, 2)
+
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
             run_shards(lambda i, c: i, 0)
@@ -75,7 +84,7 @@ class TestShardedEqualsSerial:
     def test_lifecycle_sharded_report_is_byte_identical(self):
         kwargs = dict(seed=0xC0FFEE, engine="turbo", stride=17, secure_pages=16)
         serial = LifecycleCampaign(**kwargs).run()
-        sharded = run_lifecycle_sharded(2, **kwargs)
+        sharded = run_sharded(LifecycleCampaign(**kwargs), 2)
         assert serial.ok, serial.violations[:5]
         assert sharded == serial
         assert report_digest(sharded) == report_digest(serial)
@@ -83,16 +92,16 @@ class TestShardedEqualsSerial:
     def test_bitflip_sharded_report_is_byte_identical(self):
         kwargs = dict(stride=211, targets=("pagedb", "itag"), secure_pages=16)
         serial = BitflipCampaign(engine="turbo", **kwargs).run()
-        sharded = run_bitflip_sharded(2, engine="turbo", **kwargs)
+        sharded = run_sharded(BitflipCampaign(engine="turbo", **kwargs), 2)
         assert serial.total_trials > 0
         assert sharded == serial
         assert report_digest(sharded) == report_digest(serial)
 
     def test_pipeline_sharded_report_is_byte_identical(self):
-        from repro.pipeline.campaign import run_campaign
-
         serial = run_campaign("counter-notary", engine="turbo", stride=19)
-        sharded = run_pipeline_sharded("counter-notary", 2, engine="turbo", stride=19)
+        sharded = run_sharded(
+            PipelineCampaign("counter-notary", engine="turbo", stride=19), 2
+        )
         assert len(serial.trials) > 1  # golden + kill trials
         assert sharded == serial
         assert report_digest(sharded) == report_digest(serial)
@@ -100,15 +109,16 @@ class TestShardedEqualsSerial:
     def test_more_shards_than_trials_still_merges_exactly(self):
         kwargs = dict(seed=0xC0FFEE, engine="turbo", stride=200, secure_pages=16)
         serial = LifecycleCampaign(**kwargs).run()
-        sharded = run_lifecycle_sharded(4, **kwargs)
+        sharded = run_sharded(LifecycleCampaign(**kwargs), 4)
         assert sharded == serial
 
     def test_lifecycle_differential_sharded_matches_serial(self):
-        kwargs = dict(seed=0xC0FFEE, stride=37, secure_pages=16,
-                      engines=("fast", "turbo"))
-        *serial_reports, serial_mismatches = run_differential(**kwargs)
-        *sharded_reports, sharded_mismatches = run_lifecycle_differential_sharded(
-            2, **kwargs
+        kwargs = dict(seed=0xC0FFEE, stride=37, secure_pages=16)
+        engines = ("fast", "turbo")
+        *serial_reports, serial_mismatches = run_differential(engines=engines, **kwargs)
+        campaigns = [LifecycleCampaign(engine=e, **kwargs) for e in engines]
+        *sharded_reports, sharded_mismatches = differential(
+            campaigns, compare_reports, jobs=2
         )
         assert sharded_mismatches == serial_mismatches == []
         for sharded, serial in zip(sharded_reports, serial_reports):
@@ -131,23 +141,39 @@ class TestMergeGuards:
     def test_merge_rejects_divergent_clean_run_state(self):
         shards = self.shards()
         shards[1].steps[0].post_digest = "0" * 64
-        with pytest.raises(MergeError, match="discovery/clean-run state"):
-            merge_campaign_reports(shards)
+        where = r"disagree on report\.steps\[0\]\.post_digest"
+        with pytest.raises(MergeError, match=where):
+            merge_reports(shards)
 
     def test_merge_rejects_duplicate_ordinals(self):
         shard = self.shards(count=2)[0]
         with pytest.raises(MergeError, match="duplicate trial ordinals"):
-            merge_campaign_reports([shard, shard])
+            merge_reports([shard, shard])
 
     def test_merge_rejects_mismatched_identity(self):
         shards = self.shards()
         shards[1].seed ^= 1
-        with pytest.raises(MergeError, match="campaign identity"):
-            merge_campaign_reports(shards)
+        with pytest.raises(MergeError, match=r"disagree on report\.seed"):
+            merge_reports(shards)
 
     def test_merge_rejects_empty_input(self):
         with pytest.raises(MergeError, match="no shard reports"):
-            merge_campaign_reports([])
+            merge_reports([])
+
+    def test_merge_rejects_divergent_pipeline_golden_trial(self):
+        shards = [
+            PipelineCampaign("counter-notary", stride=97, shard=(index, 2)).run()
+            for index in range(2)
+        ]
+        assert merge_reports(shards).trials[0] == shards[0].trials[0]
+        shards[1].trials[0].violations.append("golden run diverged")
+        with pytest.raises(MergeError, match=r"disagree on report\.trials"):
+            merge_reports(shards)
+
+    def test_merge_rejects_duplicate_pipeline_kill_points(self):
+        shard = PipelineCampaign("counter-notary", stride=97, shard=(0, 2)).run()
+        with pytest.raises(MergeError, match="duplicate trial ordinals"):
+            merge_reports([shard, shard])
 
 
 class TestShardedWitnessReplay:
