@@ -1,0 +1,96 @@
+"""Wall-clock floors: speed ratios the simulator must keep.
+
+Each floor divides two wall times taken in the same process, so it holds
+on any host where absolute times would not: an engine against the
+reference interpreter, delta snapshot restore against the full-buffer
+copy, and a sharded fault campaign against the serial one.  The
+deterministic side of the same runs (simulated cycles, steps, results,
+report digests) is pinned in the tier-1 tests.
+
+Run with ``PYTHONPATH=src python -m pytest benchmarks/test_floors.py -q``.
+"""
+
+import os
+import time
+
+import pytest
+
+from repro.apps.isa_workloads import CODE_VA, WORKLOADS, stage
+from repro.arm.cpu import CPU, ExitReason
+from repro.arm.machine import MachineState
+from repro.faults.campaign import LifecycleCampaign
+from repro.faults.parallel import report_digest, run_sharded
+
+#: Minimum speedup over the reference engine: 0.7x the recorded
+#: speedups (turbo 61.11/50.90/56.12x; fast 6.67/6.04x, and for sha256
+#: the higher of its two recorded fast baselines, 6.13x), so a >30%
+#: throughput regression fails.
+ENGINE_FLOORS = {
+    "checksum": {"fast": 4.669, "turbo": 42.777},
+    "notary": {"fast": 4.228, "turbo": 35.63},
+    "sha256": {"fast": 4.291, "turbo": 39.284},
+}
+
+
+def best_wall(name: str, engine: str, repeats: int) -> float:
+    """Best-of-``repeats`` wall seconds for one full-size program run."""
+    factory, r0 = WORKLOADS[name]
+    program = factory()
+    best = None
+    for _ in range(repeats):
+        state = stage(program, r0)
+        cpu = CPU(state, engine=engine)
+        start = time.perf_counter()
+        result = cpu.run(CODE_VA, max_steps=10_000_000)
+        wall = time.perf_counter() - start
+        assert result.reason is ExitReason.SVC, (name, engine, result.reason)
+        best = wall if best is None else min(best, wall)
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FLOORS))
+def test_engine_speedup_over_reference(name):
+    reference = best_wall(name, "reference", 1)
+    for engine, floor in ENGINE_FLOORS[name].items():
+        speedup = reference / best_wall(name, engine, 3)
+        assert speedup >= floor, f"{name} {engine}: {speedup:.2f}x < {floor}x"
+
+
+def restore_us(state, snap, pages, delta: bool, iterations: int = 200) -> float:
+    """Mean microseconds per (dirty ``pages`` + restore) round trip."""
+    memory = state.memory
+    addresses = [state.memmap.page_base(page) for page in pages]
+    start = time.perf_counter()
+    for _ in range(iterations):
+        for address in addresses:
+            memory.write_word(address, 0xD117)
+        state.restore(snap, delta=delta)
+    return (time.perf_counter() - start) / iterations * 1e6
+
+
+def test_delta_restore_beats_full_copy():
+    # 48 secure pages is the cloud template's machine; a full pipeline
+    # request dirties about 8 pages, the heaviest serving footprint.
+    state = MachineState.boot(secure_pages=48)
+    snap = state.snapshot()
+    pages = list(range(8))
+    delta = restore_us(state, snap, pages, True)
+    full = restore_us(state, snap, pages, False)
+    assert full / delta >= 5.0, f"delta restore only {full / delta:.2f}x faster"
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 4, reason="sharding only scales with 4+ cores"
+)
+def test_sharded_campaign_scales():
+    def campaign():
+        return LifecycleCampaign(seed=0xC0FFEE, engine="turbo", stride=6)
+
+    start = time.perf_counter()
+    serial = campaign().run()
+    serial_s = time.perf_counter() - start
+    start = time.perf_counter()
+    sharded = run_sharded(campaign(), 4)
+    jobs_s = time.perf_counter() - start
+    assert report_digest(sharded) == report_digest(serial)
+    assert serial_s / jobs_s >= 2.0, f"--jobs 4 only {serial_s / jobs_s:.2f}x serial"

@@ -32,7 +32,7 @@ engine" and "Turbo engine"):
   single-step fallback and reuses the same invalidation contracts.
 
 The default tier comes from the ``KOMODO_ENGINE`` environment variable
-(``REPRO_CPU_ENGINE`` is honoured as a legacy alias).  The engines
+(``fast`` when it is unset).  The engines
 share one table of operand semantics, so an instruction means the same
 thing in all of them by construction; the differential test suite
 (tests/arm/test_engine_differential.py) checks the rest — cycle
@@ -75,9 +75,7 @@ _M = 0xFFFFFFFF
 _USR_BANK = bank_for(Mode.USR)
 
 ENGINES = ("fast", "reference", "turbo")
-DEFAULT_ENGINE = os.environ.get(
-    "KOMODO_ENGINE", os.environ.get("REPRO_CPU_ENGINE", "fast")
-)
+DEFAULT_ENGINE = os.environ.get("KOMODO_ENGINE", "fast")
 
 
 class ExitReason(enum.Enum):

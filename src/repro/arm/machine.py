@@ -39,9 +39,9 @@ from repro.arm.tlb import TLB
 #: so a never-snapshotted memory (``_snap_token == 0``) never matches.
 _SNAP_TOKENS = itertools.count(1)
 
-#: Default restore path.  Tests and ``repro.tools.deltabench`` set it
-#: False to force every restore down the full-buffer path — the
-#: equivalence oracle the delta path is pinned against.
+#: Default restore path.  Tests set it False to force every restore
+#: down the full-buffer path — the equivalence oracle the delta path is
+#: pinned against.
 DELTA_RESTORE = True
 
 

@@ -21,8 +21,9 @@ Layering:
 * :mod:`repro.cloud.service` — the asyncio front end tying it together;
 * :mod:`repro.cloud.chaos` — the kill-workers-mid-request campaign.
 
-CLIs: ``python -m repro.tools.cloudcamp`` (chaos gate) and
-``python -m repro.tools.cloudbench`` (throughput/latency benchmark).
+CLI: ``python -m repro.tools.cloudcamp`` (chaos gate).  Serving
+throughput and latency are measured by the repo benchmark,
+``python -m bench`` (workloads ``serve-light`` and ``serve-heavy``).
 """
 
 from repro.cloud.api import (

@@ -208,6 +208,7 @@ def _coordinator_script(
             ):
                 value = yield from _checksum_leg(checksum, list(reply.payload[1:]))
                 saga.checksums.append(value)
+        yield from _await_quiescence(saga, pipeline, round_budget)
         saga.finish()
     except PipelineError as error:
         saga.fail(error)
@@ -254,6 +255,29 @@ def _drive_transaction(
             # round budget still bounds the wait.
             due = rounds + delay if delay is not None else round_budget + 1
         yield ("yield",)
+
+
+def _await_quiescence(saga, pipeline, round_budget):
+    """Keep the pumps running until no stage-to-stage link holds a frame.
+
+    The egress reply alone does not mean the stages have settled.  A
+    crash can stop a stage before it handles a frame already waiting on
+    its link, such as the downstream ack that moves it from forwarding
+    to done; were the pumps stopped at the reply, that frame would never
+    be handled and the stage's committed slot would stay stale.  After
+    the last reply, that forwarding-to-done move is the only state left
+    to settle, and a stage consumes the ack and commits the move in one
+    stretch of its poll, with no preemption point or monitor call in
+    between; so once the links are idle, every ack has taken effect.  A
+    fault-free run is already idle when its last reply arrives and pays
+    no extra round.
+    """
+    for _ in range(round_budget):
+        if pipeline.links_idle():
+            return
+        saga.rounds += 1
+        yield ("yield",)
+    raise SagaStalled(f"stage links not quiescent after {round_budget} rounds")
 
 
 def _checksum_leg(checksum, words, crash_budget: int = DEFAULT_CRASH_BUDGET):

@@ -111,6 +111,15 @@ class Pipeline:
                 return stage
         raise KeyError(name)
 
+    def links_idle(self) -> bool:
+        """True when no stage-to-stage link holds an undelivered frame,
+        judged from the ring cursors the OS can read."""
+        return not any(
+            Channel(HostEndpoint(self.kernel, base)).pending()
+            for name, base in self.channels.items()
+            if name not in ("ingress", "egress")
+        )
+
     def logical_state(self) -> Dict[str, List[int]]:
         return {stage.name: stage.active_slot() for stage in self.stages}
 

@@ -25,6 +25,7 @@ import sys
 from typing import List, Optional
 
 from repro.cloud.chaos import ChaosCampaign, ChaosReport
+from repro.tools.campaign_cli import split_list
 from repro.util.watchdog import TrialTimeout, time_limit
 
 
@@ -60,7 +61,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 on any violation or hang (CI gate)",
+        help="exit 1 on any violation or hang (CI gate); without it, "
+        "report and exit 0",
     )
     parser.add_argument("--kill-stride", type=int, default=7)
     parser.add_argument("--workers", type=int, default=2)
@@ -106,20 +108,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    kinds = None
-    if args.kinds:
-        kinds = [token.strip() for token in args.kinds.split(",") if token.strip()]
-
-    campaign = ChaosCampaign(
-        kinds=kinds,
-        workers=args.workers,
-        engine=args.engine,
-        kill_stride=args.kill_stride,
-        seed=args.seed,
-        request_timeout=args.request_timeout,
-        max_attempts=args.attempts,
-        global_timeout=args.global_timeout,
-    )
+    try:
+        campaign = ChaosCampaign(
+            kinds=split_list(args.kinds),
+            workers=args.workers,
+            engine=args.engine,
+            kill_stride=args.kill_stride,
+            seed=args.seed,
+            request_timeout=args.request_timeout,
+            max_attempts=args.attempts,
+            global_timeout=args.global_timeout,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         with time_limit(args.timeout, label="cloudcamp"):
             report = campaign.run()
@@ -134,7 +135,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
     print(f"cloudcamp: {len(report.violations)} violation(s), {report.hangs} hang(s)")
-    return 1 if args.check or not report.passed else 0
+    return 1 if args.check else 0
 
 
 if __name__ == "__main__":

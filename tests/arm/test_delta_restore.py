@@ -10,13 +10,13 @@ fast path must mark the dirty set like every other store.
 """
 
 import repro.arm.machine as machine_mod
+from repro.apps.isa_workloads import CODE_VA, DATA_VA, stage
 from repro.arm.assembler import Assembler
 from repro.arm.cpu import CPU, ExitReason
 from repro.arm.machine import MachineState
 from repro.faults.audit import secure_state_digest
 from repro.faults.bitflip import BitflipCampaign
 from repro.faults.campaign import LifecycleCampaign
-from repro.tools.bench import CODE_VA, DATA_VA, _stage
 
 
 def observables(state):
@@ -116,7 +116,7 @@ class TestTurboInlineStoreDirtyMarking:
         return asm
 
     def test_turbo_stores_mark_dirty_pages(self):
-        state = _stage(self.make_store_loop(), 64)
+        state = stage(self.make_store_loop(), 64)
         snap = state.snapshot()
         assert not state.memory._dirty
 
@@ -134,7 +134,7 @@ class TestTurboInlineStoreDirtyMarking:
         program = self.make_store_loop()
 
         def run_and_restore(delta):
-            state = _stage(program, 64)
+            state = stage(program, 64)
             snap = state.snapshot()
             result = CPU(state, engine="turbo").run(CODE_VA, max_steps=100_000)
             assert result.reason is ExitReason.SVC

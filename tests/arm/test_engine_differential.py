@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.isa_workloads import CODE_VA as WORKLOAD_CODE_VA
+from repro.apps.isa_workloads import WORKLOADS, stage
 from repro.arm.cpu import CPU, ExitReason, FastCPU, TurboCPU
 from repro.arm.instructions import FORMATS, Instruction, encode
 from repro.arm.machine import MachineState
@@ -434,21 +436,18 @@ class TestRandomPrograms:
 
 
 class TestBenchWorkloads:
-    """The Table 3 / throughput programs themselves, differentially."""
+    """The engine-speedup programs themselves, differentially."""
 
     @pytest.mark.parametrize("name,r0", [("checksum", 8), ("notary", 150), ("sha256", 1)])
     def test_workload(self, name, r0):
-        from repro.tools.bench import CODE_VA as BENCH_CODE_VA
-        from repro.tools.bench import WORKLOADS, _stage
-
         factory, _ = WORKLOADS[name]
         program = factory()
         outcomes = {}
         for engine in ENGINES:
-            state = _stage(program, r0)
+            state = stage(program, r0)
             cpu = CPU(state, engine=engine)
             cpu.access_trace = []
-            result = cpu.run(BENCH_CODE_VA, max_steps=2_000_000)
+            result = cpu.run(WORKLOAD_CODE_VA, max_steps=2_000_000)
             regs = state.regs
             outcomes[engine] = (
                 result,
@@ -459,3 +458,27 @@ class TestBenchWorkloads:
         for engine in ENGINES:
             assert outcomes[engine] == outcomes["reference"], engine
         assert outcomes["reference"][0].reason is ExitReason.SVC
+
+    @pytest.mark.parametrize(
+        "name,r0,cycles,steps,result",
+        [
+            ("checksum", 256, 93024, 59203, 1336546311),
+            ("notary", 6000, 120276, 78037, 2629918970),
+            ("sha256", 24, 98715, 67710, 1383988808),
+        ],
+    )
+    def test_full_size_run_is_pinned(self, name, r0, cycles, steps, result):
+        """The full-size runs the speedup floors time: simulated cycles,
+        steps and result are the same fixed numbers on every engine."""
+        factory, full_r0 = WORKLOADS[name]
+        assert full_r0 == r0
+        program = factory()
+        for engine in ENGINES:
+            state = stage(program, r0)
+            run = CPU(state, engine=engine).run(WORKLOAD_CODE_VA, max_steps=10_000_000)
+            assert run.reason is ExitReason.SVC, engine
+            assert (state.cycles, run.steps, state.regs.read_gpr(0)) == (
+                cycles,
+                steps,
+                result,
+            ), engine

@@ -50,6 +50,28 @@ class TestSweep:
             PipelineCampaign("counter-notary", stride=0)
 
 
+class TestRecoveryQuiescence:
+    def test_kill_points_around_the_last_ack_reconverge(self):
+        # Kill points 357-361 of attest-sign-seal crash the sign stage's
+        # last poll before it handles the seal stage's ack, while the
+        # reply is already on the egress.  The saga must keep the stages
+        # polling until the links are idle, so that ack still moves the
+        # sign stage from forwarding to done instead of leaving its
+        # committed slot stale.
+        campaign = PipelineCampaign("attest-sign-seal")
+        discovery = FaultPlan()
+        golden = campaign._run_once(discovery)
+        assert discovery.count == 380
+        golden_digest = outcome_digest(campaign.pipeline, golden)
+        for kill_point in range(350, 366):
+            plan = FaultPlan(abort_at=kill_point)
+            outcome = campaign._run_once(plan)
+            assert plan.fired, kill_point
+            digest = outcome_digest(campaign.pipeline, outcome)
+            assert digest == golden_digest, kill_point
+            assert campaign.pipeline.check_invariants() == [], kill_point
+
+
 class TestExhaustion:
     def test_repeated_crashes_surface_typed_then_recover(self):
         # A watchdog that keeps firing must end in StageRetryExhausted —

@@ -1,8 +1,9 @@
-"""CLI smoke tests for cloudcamp and cloudbench."""
+"""CLI tests for cloudcamp: the gate, usage errors, and exit codes."""
 
-import json
+import pytest
 
-from repro.tools import cloudbench, cloudcamp
+from repro.cloud.chaos import ChaosCampaign, ChaosReport
+from repro.tools import cloudcamp
 
 
 class TestCloudcamp:
@@ -15,87 +16,26 @@ class TestCloudcamp:
         assert "bit-exact" in out
         assert "0 hangs" in out
 
+    @pytest.mark.parametrize(
+        "argv", [["--kill-stride", "0"], ["--kinds", "bogus"]], ids=["stride", "kind"]
+    )
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cloudcamp.main(argv)
+        assert excinfo.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
-class TestCloudbench:
-    def test_run_then_check_then_summary(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_cloud.json"
-        assert (
-            cloudbench.main(
-                [
-                    "--out",
-                    str(out_path),
-                    "--per-kind",
-                    "1",
-                    "--workers",
-                    "1,2",
-                    "--repeats",
-                    "1",
-                ]
+    def test_only_check_turns_violations_into_exit_1(self, monkeypatch, capsys):
+        def failing_run(self):
+            return ChaosReport(
+                engine=self.engine,
+                workers=self.workers,
+                kill_stride=self.kill_stride,
+                seed=self.seed,
+                violations=["attest kill@3: digest mismatch"],
             )
-            == 0
-        )
-        assert out_path.is_file()
-        data = json.loads(out_path.read_text())
-        assert {c["workers"] for c in data["configs"]} == {1, 2}
-        assert {c["engine"] for c in data["configs"]} == {"turbo", "fast"}
-        assert data["cpu_cores"] >= 1
-        assert data["repeats"] == 1
 
-        assert cloudbench.main(["--check", "--out", str(out_path)]) == 0
-        assert "OK" in capsys.readouterr().out
-
-        assert cloudbench.main(["--summary-md", "--out", str(out_path)]) == 0
-        assert "| engine |" in capsys.readouterr().out
-
-    def test_check_fails_on_a_tampered_digest(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_cloud.json"
-        assert (
-            cloudbench.main(
-                [
-                    "--out",
-                    str(out_path),
-                    "--per-kind",
-                    "1",
-                    "--workers",
-                    "1,2",
-                    "--repeats",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        data = json.loads(out_path.read_text())
-        data["results_digest"] = "0" * 64
-        out_path.write_text(json.dumps(data))
-        assert cloudbench.main(["--check", "--out", str(out_path)]) == 1
-        assert "results_digest mismatch" in capsys.readouterr().out
-
-    def test_check_fails_on_a_thin_matrix(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_cloud.json"
-        assert (
-            cloudbench.main(
-                [
-                    "--out",
-                    str(out_path),
-                    "--per-kind",
-                    "1",
-                    "--workers",
-                    "1",
-                    "--engines",
-                    "turbo",
-                    "--repeats",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        assert cloudbench.main(["--check", "--out", str(out_path)]) == 1
-        out = capsys.readouterr().out
-        assert ">=2 engines" in out
-        assert ">=2 worker counts" in out
-
-    def test_missing_file_fails_check(self, tmp_path):
-        assert (
-            cloudbench.main(["--check", "--out", str(tmp_path / "missing.json")])
-            == 1
-        )
+        monkeypatch.setattr(ChaosCampaign, "run", failing_run)
+        assert cloudcamp.main([]) == 0
+        assert "cloudcamp: 1 violation(s)" in capsys.readouterr().out
+        assert cloudcamp.main(["--check"]) == 1
