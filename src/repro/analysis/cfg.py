@@ -99,10 +99,6 @@ class CFG:
     reachable: Set[int]  # block start indices reachable from the entry
     findings: List[Finding] = field(default_factory=list)
 
-    @property
-    def block_starts(self) -> List[int]:
-        return sorted(self.blocks)
-
     def block_at(self, index: int) -> BasicBlock:
         """The block containing word ``index``."""
         for start in sorted(self.blocks, reverse=True):

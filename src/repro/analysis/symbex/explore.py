@@ -454,9 +454,3 @@ class ExploreResult:
 def explore_smc(name: str, max_paths: int = 200_000) -> ExploreResult:
     driver = get_driver(name)
     return ExploreResult(name=name, paths=driver.explore(max_paths=max_paths))
-
-
-def full_census(names: Optional[Sequence[str]] = None) -> Dict[str, Dict]:
-    return {
-        name: explore_smc(name).census() for name in (names or driver_names())
-    }

@@ -693,8 +693,7 @@ def compile_region(
         # Bake the memory geometry in: the store view, base, size, and
         # dirty-page set are fixed object identities for a machine's
         # lifetime (snapshots restore in place — the dirty set is only
-        # ever cleared, never rebound; copies get their own uarch and
-        # recompile).
+        # ever cleared, never rebound).
         namespace["_mem"] = mem
         namespace["_mw"] = mem._store
         namespace["_mb"] = mem._base
@@ -704,16 +703,6 @@ def compile_region(
     fn = namespace["_block"]
     fn.__source__ = source  # introspection hook for tests/debugging
     return fn
-
-
-def compile_block(
-    instrs: List[Instruction],
-    paddr: int,
-    traced: bool = False,
-    mem: Optional[PhysicalMemory] = None,
-) -> Callable:
-    """Compile a single basic block (a one-member region)."""
-    return compile_region([(0, instrs)], paddr, traced=traced, mem=mem)
 
 
 # ---------------------------------------------------------------------------

@@ -138,11 +138,3 @@ class EncryptedMemory(PhysicalMemory):
         super().write_word(dst, super().read_word(src))
         if src in self._tags:
             self._tags[dst] = self._tags[src]
-
-    # -- copies ------------------------------------------------------------------
-
-    def copy(self) -> "EncryptedMemory":
-        dup = EncryptedMemory(self.map, device_key=self._device_key)
-        dup._buf[:] = self._buf
-        dup._tags = dict(self._tags)
-        return dup

@@ -71,8 +71,8 @@ class UArchState:
     instructions and compiled basic blocks (keyed by physical address,
     validated against ``PhysicalMemory.generation``) and translations
     (keyed by virtual page, validated against ``TLB.version``).  A
-    ``MachineState.copy()`` never shares this state — each snapshot
-    warms its own caches.
+    snapshot never captures this state — ``restore`` resets it, so a
+    restored machine warms its own caches.
     """
 
     __slots__ = (
@@ -245,7 +245,7 @@ class MachineState:
     def snapshot(self) -> "MachineSnapshot":
         """Capture an O(memory) checkpoint for in-place ``restore``.
 
-        Much cheaper than ``copy``/``copy.deepcopy``: physical memory is
+        Much cheaper than ``copy.deepcopy``: physical memory is
         one flat ``array`` slice, registers and the TLB are small.  The
         fault campaigns use this to capture a lifecycle prefix once and
         restore it per injected fault instead of re-running from boot.
@@ -332,23 +332,6 @@ class MachineState:
         self.uarch.reset()
         self.fault_plan = None
         self.txn = None
-
-    def copy(self) -> "MachineState":
-        """Deep copy (used by the refinement and noninterference harnesses)."""
-        memory = self.memory.copy()
-        dup = MachineState(
-            memmap=self.memmap,
-            memory=memory,
-            regs=self.regs.copy(),
-            tlb=self.tlb.copy(memory=memory),
-            world=self.world,
-            ttbr0=self.ttbr0,
-            pending_interrupt=self.pending_interrupt,
-            cycles=self.cycles,
-            costs=self.costs,
-            uarch=UArchState(),
-        )
-        return dup
 
 
 class MachineSnapshot:

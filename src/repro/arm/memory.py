@@ -147,9 +147,6 @@ class MemoryMap:
     def is_monitor(self, address: int) -> bool:
         return self.monitor_image.contains(address) or self.monitor_stack.contains(address)
 
-    def is_valid(self, address: int) -> bool:
-        return any(region.contains(address) for region in self.regions())
-
     def insecure_page_aligned(self, address: int) -> bool:
         """True if ``address`` is a page-aligned address of an insecure page.
 
@@ -322,11 +319,6 @@ class PhysicalMemory:
         return {
             base + (i << 2): value for i, value in enumerate(words) if value
         }
-
-    def copy(self) -> "PhysicalMemory":
-        dup = PhysicalMemory(self.map)
-        dup._buf[:] = self._buf
-        return dup
 
     def __deepcopy__(self, memo):
         # The word-cast memoryview is not picklable/deep-copyable;

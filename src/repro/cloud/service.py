@@ -1,11 +1,11 @@
 """The enclave cloud's front end: asyncio supervision of forked workers.
 
 One :class:`CloudService` owns a pool of worker processes (each a
-forked copy of a prewarmed :class:`EnclaveTemplate`), a pump thread
-multiplexing their pipes *and their process sentinels* through
-``multiprocessing.connection.wait`` — so a worker dying mid-request is
-detected even if it never writes another byte — and an asyncio event
-loop where all bookkeeping runs single-threaded.
+forked copy of a prewarmed :class:`EnclaveTemplate`) and runs all of
+its bookkeeping on one asyncio event loop.  The loop's selector
+watches every worker's pipe *and its process sentinel*, so a worker
+dying mid-request — or while idle — is detected even if it never
+writes another byte.
 
 Resilience mechanics:
 
@@ -14,12 +14,12 @@ Resilience mechanics:
   and a crash-retried request is re-*dispatched*, never re-*resolved*,
   so a seal/sign executes at most once from the client's view;
 * **crash retry** — a dead worker's in-flight requests (up to
-  ``pipeline_depth`` of them) are each re-dispatched after a seeded
+  ``PIPELINE_DEPTH`` of them) are each re-dispatched after a seeded
   exponential backoff (``repro.util.backoff`` delays ×
-  ``backoff_unit`` seconds), with the chaos kill point stripped so an
+  ``BACKOFF_UNIT_S`` seconds), with the chaos kill point stripped so an
   injected kill fires exactly once; after ``max_attempts`` dispatches
   a request resolves with a typed retryable ``worker_crashed`` error;
-* **pipelined dispatch** — up to ``pipeline_depth`` requests ride each
+* **pipelined dispatch** — up to ``PIPELINE_DEPTH`` requests ride each
   worker's pipe at once, so the worker picks up its next request the
   instant it finishes one instead of idling through the supervisor's
   full receive/resolve/dispatch round trip (the serialization that made
@@ -40,13 +40,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import multiprocessing
-import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cloud.api import (
@@ -65,6 +62,12 @@ from repro.util.backoff import Backoff, BackoffPolicy
 #: Fork is the only start method that inherits the prewarmed template;
 #: it exists on every POSIX platform this repo targets.
 _MP_CONTEXT = "fork"
+
+#: Requests pipelined on one worker's pipe at once.
+PIPELINE_DEPTH = 2
+
+#: Seconds per unit of the seeded retry backoff.
+BACKOFF_UNIT_S = 0.002
 
 
 @dataclass
@@ -94,20 +97,14 @@ class CloudService:
         step_budget: int = 2_000_000,
         request_timeout: Optional[float] = None,
         max_attempts: int = 3,
-        backoff_unit: float = 0.002,
         breaker_threshold: int = 4,
         breaker_cooldown: float = 0.25,
-        hb_interval: float = 0.05,
-        pipeline_depth: int = 2,
     ):
         if workers < 1:
             raise ValueError("need at least one worker")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be at least 1")
         self.pool_size = workers
-        self.pipeline_depth = pipeline_depth
         self.spec = {
             "engine": engine,
             "seed": seed,
@@ -116,20 +113,11 @@ class CloudService:
         }
         self.request_timeout = request_timeout
         self.max_attempts = max_attempts
-        self.backoff_unit = backoff_unit
-        self.hb_interval = hb_interval
         self.breaker = CircuitBreaker(
             failure_threshold=breaker_threshold, cooldown=breaker_cooldown
         )
         self._ctx = multiprocessing.get_context(_MP_CONTEXT)
         self._workers: Dict[int, WorkerHandle] = {}
-        self._workers_lock = threading.Lock()
-        # Handles of dead workers, kept open until the pump thread has
-        # stopped: closing a conn the pump is concurrently recv-ing on
-        # tears the descriptor out from under it (an un-catchable-as-
-        # OSError TypeError deep in Connection._recv).  A dead worker's
-        # open conn is harmless — the pump just sees EOF.
-        self._dead_handles: List[WorkerHandle] = []
         self._next_worker_id = 0
         self._entries: Dict[str, _Entry] = {}
         self._queue: Deque[str] = deque()
@@ -137,8 +125,6 @@ class CloudService:
         self._idle: Deque[int] = deque()
         self._audit_futures: Dict[int, "asyncio.Future"] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pump: Optional[threading.Thread] = None
-        self._wake_r, self._wake_w = os.pipe()
         self._degraded_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="cloud-degraded"
         )
@@ -157,7 +143,7 @@ class CloudService:
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> "CloudService":
-        """Prewarm the template, fork the pool, start the pump."""
+        """Prewarm the template and fork the pool."""
         if self._started:
             raise RuntimeError("service already started")
         self._loop = asyncio.get_running_loop()
@@ -167,10 +153,6 @@ class CloudService:
         await self._loop.run_in_executor(None, get_template, self.spec)
         for _ in range(self.pool_size):
             self._spawn_worker()
-        self._pump = threading.Thread(
-            target=self._pump_loop, name="cloud-pump", daemon=True
-        )
-        self._pump.start()
         self._started = True
         return self
 
@@ -189,34 +171,21 @@ class CloudService:
                         attempts=entry.attempts,
                     )
                 )
-        with self._workers_lock:
-            handles = list(self._workers.values())
+        handles = list(self._workers.values())
+        self._workers.clear()
         for handle in handles:
+            self._unwatch(handle)
             try:
                 handle.conn.send(("stop",))
-            except (OSError, BrokenPipeError):
+            except OSError:
                 pass
-        self._wake_pump()
-        if self._pump is not None:
-            self._pump.join(timeout=2.0)
-        # The pump is gone: now conns can be closed without racing it.
-        for handle in self._dead_handles:
-            handle.close()
-        self._dead_handles.clear()
         for handle in handles:
             handle.process.join(timeout=1.0)
             if handle.process.is_alive():
                 handle.kill()
                 handle.process.join(timeout=1.0)
             handle.close()
-        with self._workers_lock:
-            self._workers.clear()
         self._degraded_pool.shutdown(wait=True)
-        for fd in (self._wake_r, self._wake_w):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
 
     # -- the public request path -----------------------------------------
 
@@ -269,12 +238,10 @@ class CloudService:
         Returns ``{worker_id: (violations, rewind_digest)}``.
         """
         futures: Dict[int, "asyncio.Future"] = {}
-        with self._workers_lock:
-            handles = [h for h in self._workers.values() if h.idle]
-        for handle in handles:
+        for handle in [h for h in self._workers.values() if h.idle]:
             try:
                 handle.conn.send(("audit",))
-            except (OSError, BrokenPipeError):
+            except OSError:
                 continue  # died since the snapshot; skip it
             future = self._loop.create_future()
             self._audit_futures[handle.worker_id] = future
@@ -285,8 +252,7 @@ class CloudService:
         return results
 
     def stats(self) -> Dict:
-        with self._workers_lock:
-            alive = sum(1 for h in self._workers.values() if h.alive)
+        alive = sum(1 for h in self._workers.values() if h.alive)
         return {
             **self.counters,
             "workers_alive": alive,
@@ -295,7 +261,7 @@ class CloudService:
             "breaker_opens": self.breaker.opens,
         }
 
-    # -- worker management (loop thread only, except where noted) --------
+    # -- worker management and event handlers (all on the loop) ----------
 
     def _spawn_worker(self) -> WorkerHandle:
         worker_id = self._next_worker_id
@@ -303,7 +269,7 @@ class CloudService:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, self.spec, child_conn, self.hb_interval),
+            args=(worker_id, self.spec, child_conn),
             daemon=True,
             name=f"cloud-worker-{worker_id}",
         )
@@ -312,73 +278,32 @@ class CloudService:
         handle = WorkerHandle(
             worker_id=worker_id, process=process, conn=parent_conn
         )
-        with self._workers_lock:
-            self._workers[worker_id] = handle
+        self._workers[worker_id] = handle
+        self._loop.add_reader(parent_conn.fileno(), self._on_readable, worker_id)
+        self._loop.add_reader(process.sentinel, self._on_worker_death, worker_id)
         self._idle.append(worker_id)
-        self._wake_pump()
         return handle
 
-    def _wake_pump(self) -> None:
-        try:
-            os.write(self._wake_w, b"x")
-        except OSError:
-            pass
+    def _unwatch(self, handle: WorkerHandle) -> None:
+        # Before the conn closes: forked siblings hold copies of this
+        # pipe, so epoll would keep reporting the closed fd number.
+        self._loop.remove_reader(handle.conn.fileno())
+        self._loop.remove_reader(handle.process.sentinel)
 
-    def _pump_loop(self) -> None:
-        """Pump thread: multiplex worker pipes + death sentinels, post
-        every event to the loop.  Never touches service state directly."""
-        while not self._closing:
-            with self._workers_lock:
-                handles = list(self._workers.values())
-            by_conn = {h.conn: h for h in handles}
-            by_sentinel = {h.process.sentinel: h for h in handles}
-            waitables = [self._wake_r, *by_conn, *by_sentinel]
-            try:
-                ready = mp_connection.wait(waitables, timeout=0.25)
-            except (OSError, ValueError):
-                continue  # a conn/sentinel closed under us; re-snapshot
-            for obj in ready:
-                if obj == self._wake_r:
-                    try:
-                        os.read(self._wake_r, 4096)
-                    except OSError:
-                        pass
-                    continue
-                if obj in by_conn:
-                    handle = by_conn[obj]
-                    try:
-                        while handle.conn.poll(0):
-                            message = handle.conn.recv()
-                            self._post(self._on_message, handle.worker_id, message)
-                    except (EOFError, OSError, ValueError, TypeError):
-                        # EOF, a closed conn, or a conn torn down
-                        # mid-recv — all mean the same thing here.  The
-                        # pump must survive every one of them: a dead
-                        # pump means undetected deaths and hung clients.
-                        self._post(self._on_worker_death, handle.worker_id)
-                elif obj in by_sentinel:
-                    self._post(self._on_worker_death, by_sentinel[obj].worker_id)
-
-    def _post(self, callback, *args) -> None:
-        try:
-            self._loop.call_soon_threadsafe(callback, *args)
-        except RuntimeError:
-            pass  # loop already closed during teardown
-
-    # -- event handlers (loop thread) -------------------------------------
-
-    def _on_message(self, worker_id: int, message: Tuple) -> None:
-        if self._closing:
-            return
-        with self._workers_lock:
-            handle = self._workers.get(worker_id)
+    def _on_readable(self, worker_id: int) -> None:
+        handle = self._workers.get(worker_id)
         if handle is None:
             return
+        try:
+            while handle.conn.poll(0):
+                self._on_message(handle, handle.conn.recv())
+        except (EOFError, OSError):
+            self._on_worker_death(worker_id)
+
+    def _on_message(self, handle: WorkerHandle, message: Tuple) -> None:
+        worker_id = handle.worker_id
         kind = message[0]
-        if kind == "hb":
-            handle.last_heartbeat = time.monotonic()
-            handle.served = message[2]
-        elif kind == "res":
+        if kind == "res":
             response = CloudResponse.from_wire(message[1])
             try:
                 handle.inflight.remove(response.key)
@@ -394,11 +319,12 @@ class CloudService:
                 future.set_result((message[2], message[3]))
 
     def _on_worker_death(self, worker_id: int) -> None:
-        with self._workers_lock:
-            handle = self._workers.pop(worker_id, None)
+        handle = self._workers.pop(worker_id, None)
         if handle is None:
-            return  # already reaped (sentinel + EOF both fired)
-        self._dead_handles.append(handle)  # conn closed after pump exit
+            return
+        self._unwatch(handle)
+        handle.kill()
+        handle.close()
         try:
             self._idle.remove(worker_id)
         except ValueError:
@@ -461,13 +387,12 @@ class CloudService:
                 continue
             self.counters["retries"] += 1
             delay_units = entry.backoff.next_delay()
-            delay = (delay_units or 0) * self.backoff_unit
+            delay = (delay_units or 0) * BACKOFF_UNIT_S
             self._loop.call_later(delay, self._dispatch, entry)
 
     def _on_request_timeout(self, key: str, worker_id: int) -> None:
         entry = self._entries.get(key)
-        with self._workers_lock:
-            handle = self._workers.get(worker_id)
+        handle = self._workers.get(worker_id)
         if (
             entry is None
             or entry.future.done()
@@ -495,8 +420,7 @@ class CloudService:
                 self._queue.append(key)
             return
         worker_id = self._idle.popleft()
-        with self._workers_lock:
-            handle = self._workers.get(worker_id)
+        handle = self._workers.get(worker_id)
         if handle is None or not handle.alive:
             # Raced with a death the loop hasn't processed yet.
             self._loop.call_soon(self._dispatch, entry)
@@ -506,7 +430,7 @@ class CloudService:
         handle.inflight.append(key)
         try:
             handle.conn.send(("req", entry.request.to_wire(), dict(entry.options)))
-        except (OSError, BrokenPipeError):
+        except OSError:
             try:
                 handle.inflight.remove(key)
             except ValueError:
@@ -523,7 +447,7 @@ class CloudService:
         """Put the worker back in the capacity ring if it can take more."""
         if (
             handle.alive
-            and handle.has_capacity(self.pipeline_depth)
+            and handle.has_capacity(PIPELINE_DEPTH)
             and worker_id not in self._idle
         ):
             self._idle.append(worker_id)

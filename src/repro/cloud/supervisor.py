@@ -1,12 +1,12 @@
 """Supervision primitives: worker handles and the circuit breaker.
 
 The service (``repro.cloud.service``) composes these: a
-:class:`WorkerHandle` per forked worker, watched through its process
-sentinel and heartbeats, and one :class:`CircuitBreaker` guarding the
-pool — when workers are dying faster than the respawn path can prove
-them healthy, the breaker opens and the service sheds load onto its
-degraded-but-correct in-process path instead of queueing requests
-behind a crash loop.
+:class:`WorkerHandle` per forked worker, whose pipe and process
+sentinel the service's event loop watches, and one
+:class:`CircuitBreaker` guarding the pool — when workers are dying
+faster than the respawn path can prove them healthy, the breaker opens
+and the service sheds load onto its degraded-but-correct in-process
+path instead of queueing requests behind a crash loop.
 
 The breaker is the classic three-state machine:
 
@@ -104,16 +104,13 @@ class WorkerHandle:
     process: Any  # multiprocessing.Process
     conn: Any  # multiprocessing.connection.Connection
     #: Idempotency keys of dispatched-but-unanswered requests, oldest
-    #: first.  The service pipelines up to ``pipeline_depth`` requests
+    #: first.  The service pipelines up to ``PIPELINE_DEPTH`` requests
     #: per worker: while the worker serves one, the next already sits
     #: in its pipe, so the worker never idles through the supervisor's
     #: response round trip.  The worker answers in FIFO order, but a
     #: death loses *all* of these at once — the retry path must walk
     #: the whole deque.
     inflight: Deque[str] = field(default_factory=deque)
-    served: int = 0
-    last_heartbeat: float = field(default_factory=time.monotonic)
-    generation: int = 0  # how many respawns this slot has seen
 
     @property
     def idle(self) -> bool:

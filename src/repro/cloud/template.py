@@ -158,15 +158,6 @@ class EnclaveTemplate:
 
     # -- spawning ---------------------------------------------------------
 
-    def spec_for_spawn(self) -> Dict:
-        """Everything a worker process needs to rebuild this template."""
-        return {
-            "engine": self.engine,
-            "secure_pages": self.secure_pages,
-            "seed": self.seed,
-            "step_budget": self.step_budget,
-        }
-
     @classmethod
     def from_spec(cls, spec: Dict) -> "EnclaveTemplate":
         return cls(**spec)

@@ -9,8 +9,11 @@ supervisor -> worker
     chaos_kill_at); ``("audit",)`` restore + audit; ``("stop",)`` exit.
 
 worker -> supervisor
-    ``("res", wire)`` a response; ``("hb", worker_id, served)`` an
-    idle heartbeat; ``("audit_ok", worker_id, violations, digest)``.
+    ``("res", wire)`` a response;
+    ``("audit_ok", worker_id, violations, digest)`` an audit result.
+
+A worker blocks in ``recv`` between requests and sends nothing while
+idle: the supervisor learns of its death from the process sentinel.
 
 Workers are forked, so :func:`get_template` keeps a per-process cache
 keyed by spec: the supervising parent prewarms the template *before*
@@ -87,16 +90,12 @@ def serve_request(
     return response
 
 
-def worker_main(worker_id: int, spec: Dict, conn, hb_interval: float = 0.1) -> None:
+def worker_main(worker_id: int, spec: Dict, conn) -> None:
     """Entry point of a worker process; never returns normally except
     on ``("stop",)`` or a closed pipe."""
     template = get_template(spec)
-    served = 0
     while True:
         try:
-            if not conn.poll(hb_interval):
-                conn.send(("hb", worker_id, served))
-                continue
             message = conn.recv()
         except (EOFError, OSError):
             break  # supervisor is gone; die quietly
@@ -116,7 +115,6 @@ def worker_main(worker_id: int, spec: Dict, conn, hb_interval: float = 0.1) -> N
                 step_budget=options.get("step_budget"),
                 chaos_kill_at=options.get("chaos_kill_at"),
             )
-            served += 1
             conn.send(("res", response.to_wire()))
             continue
         # Unknown message: fail loudly (a protocol bug, not a crash).

@@ -62,12 +62,6 @@ class EnterOutcome:
     svc_exits: int = 0  # number of non-Exit SVCs serviced (for tests)
 
 
-class NativeYield:
-    """Values a native program may yield at a preemption point."""
-
-    PREEMPT = None  # plain `yield` — a preemption point
-
-
 def _atomically(mon: "KomodoMonitor", fn):
     """Run a bookkeeping window as an always-committed transaction.
 

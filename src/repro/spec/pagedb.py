@@ -157,30 +157,3 @@ class AbsPageDb:
         return [
             i for i in range(self.npages) if isinstance(self[i], AbsAddrspace)
         ]
-
-    def l2_tables_of(self, addrspace: int) -> List[int]:
-        return [
-            i
-            for i in range(self.npages)
-            if isinstance(self[i], AbsL2) and self[i].addrspace == addrspace
-        ]
-
-    def mapped_entries(self, addrspace: int) -> List[Tuple[int, int, AbsMappingEntry]]:
-        """All live mappings of an addrspace: (l1index, l2index, entry)."""
-        entry = self[addrspace]
-        if not isinstance(entry, AbsAddrspace):
-            return []
-        l1 = self[entry.l1pt]
-        if not isinstance(l1, AbsL1):
-            return []
-        result = []
-        for l1index, l2page in enumerate(l1.entries):
-            if l2page is None:
-                continue
-            l2 = self[l2page]
-            if not isinstance(l2, AbsL2):
-                continue
-            for l2index, mapping in enumerate(l2.entries):
-                if mapping is not None:
-                    result.append((l1index, l2index, mapping))
-        return result

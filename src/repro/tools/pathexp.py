@@ -174,6 +174,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    if args.update_baseline and args.smc:
+        parser.error("--update-baseline requires the full census (no --smc)")
 
     if args.list:
         for name in driver_names():
@@ -185,15 +187,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     names = args.smc or list(driver_names())
     unknown = [name for name in names if name not in driver_names()]
     if unknown:
-        raise SystemExit(f"pathexp: unknown SMC driver(s) {unknown}; see --list")
+        parser.error(f"unknown SMC driver(s) {unknown}; see --list")
 
     results = {name: explore_smc(name) for name in names}
     census = {name: result.census() for name, result in results.items()}
     _print_census(census)
 
     if args.update_baseline:
-        if args.smc:
-            raise SystemExit("pathexp: --update-baseline requires the full census")
         save_baseline(census)
         print(f"pathexp: baseline updated ({BASELINE_PATH})")
 

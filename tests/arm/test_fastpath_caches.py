@@ -8,15 +8,16 @@ Three caches, three contracts:
 * micro-TLB — validated against ``TLB.version``, which the architectural
   model bumps on every flush, ``set_ttbr``, and poisoning ``note_store``,
   so translations never outlive what the architecture permits;
-* both live in ``MachineState.uarch``, which ``MachineState.copy()``
-  re-creates fresh, so snapshots never alias a donor's caches.
+* both live in ``MachineState.uarch``, which ``MachineState.restore``
+  resets, so a restored machine never reuses its donor's caches (the
+  fork itself is checked in ``tests/faults/test_snapshot.py``).
 """
 
 import pytest
 
 from repro.arm.cpu import CPU, ExitReason
 from repro.arm.instructions import Instruction, encode
-from repro.arm.machine import MachineState, UArchState
+from repro.arm.machine import MachineState
 from repro.arm.modes import Mode
 from repro.arm.pagetable import l1_index, l2_index, make_l1_entry, make_l2_entry
 from repro.arm.registers import PSR
@@ -195,31 +196,6 @@ class TestMicroTLB:
 
 
 class TestCopyIsolation:
-    def test_copy_gets_fresh_uarch_state(self):
-        state = stage([encode(Instruction("svc", imm=0))])
-        CPU(state, engine="fast").run(CODE_VA, max_steps=10)
-        assert state.uarch.icache and state.uarch.utlb
-
-        dup = state.copy()
-        assert isinstance(dup.uarch, UArchState)
-        assert dup.uarch is not state.uarch
-        assert dup.uarch.icache == {}
-        assert dup.uarch.utlb == {}
-
-    def test_copy_runs_do_not_leak_into_donor(self):
-        movw = encode(Instruction("movw", rd=0, imm=9))
-        svc = encode(Instruction("svc", imm=0))
-        state = stage([movw, svc])
-        dup = state.copy()
-
-        assert CPU(dup, engine="fast").run(CODE_VA, max_steps=10).reason is ExitReason.SVC
-        assert dup.uarch.icache
-        assert state.uarch.icache == {}
-
-        # Mutating the copy's memory must not disturb the donor either.
-        dup.memory.write_word(dup.memmap.page_base(2), 0)
-        assert state.memory.read_word(state.memmap.page_base(2)) == movw
-
     def test_uarch_reset(self):
         state = stage([encode(Instruction("svc", imm=0))])
         CPU(state, engine="fast").run(CODE_VA, max_steps=10)

@@ -105,24 +105,3 @@ class TestChargedHelpers:
         self._install_live_l2(state)
         state.mon_zero_page(state.memmap.page_base(3))  # not a table page
         assert state.tlb.consistent
-
-
-class TestCopy:
-    def test_copy_is_deep(self, state):
-        addr = state.memmap.insecure.base
-        state.memory.write_word(addr, 1)
-        state.regs.write_gpr(0, 5)
-        dup = state.copy()
-        dup.memory.write_word(addr, 2)
-        dup.regs.write_gpr(0, 6)
-        dup.world = World.NORMAL
-        assert state.memory.read_word(addr) == 1
-        assert state.regs.read_gpr(0) == 5
-        assert state.world is World.SECURE
-
-    def test_copy_preserves_counters(self, state):
-        state.charge(100)
-        state.pending_interrupt = True
-        dup = state.copy()
-        assert dup.cycles == 100
-        assert dup.pending_interrupt

@@ -163,9 +163,3 @@ class TestBulkOps:
         memory.write_word(memmap.insecure.base + 4, 0)  # zero: not in snapshot
         snapshot = memory.snapshot_region(memmap.insecure)
         assert snapshot == {memmap.insecure.base: 5}
-
-    def test_copy_independent(self, memory, memmap):
-        memory.write_word(memmap.insecure.base, 1)
-        dup = memory.copy()
-        dup.write_word(memmap.insecure.base, 2)
-        assert memory.read_word(memmap.insecure.base) == 1

@@ -5,6 +5,10 @@ forked from the session-cached template, so spawns are cheap.
 """
 
 import asyncio
+import multiprocessing
+import os
+import signal
+import time
 
 from repro.cloud.api import CloudRequest
 from repro.cloud.service import CloudService
@@ -193,6 +197,34 @@ class TestCrashSupervision:
                 assert response.attempts == 2
                 assert response.digest() == template.expected(request).digest()
                 assert service.stats()["crashes"] == 1
+            finally:
+                await service.close()
+
+        run(body())
+
+    def test_idle_worker_death_is_detected_and_healed(self):
+        # Nothing in flight and no request timeout: only the event
+        # loop's watch on the worker's sentinel (and pipe) notices this.
+        async def body():
+            service = CloudService(workers=1)
+            await service.start()
+            try:
+                assert (await service.submit(CloudRequest("spin", (8,)))).ok
+                (worker,) = multiprocessing.active_children()
+                os.kill(worker.pid, signal.SIGKILL)
+                deadline = time.monotonic() + 5.0
+                while service.stats()["respawns"] < 1:
+                    assert time.monotonic() < deadline, service.stats()
+                    await asyncio.sleep(0.01)
+                stats = service.stats()
+                assert stats["crashes"] == 1
+                assert stats["respawns"] == 1
+                assert stats["workers_alive"] == 1
+                response = await service.submit(
+                    CloudRequest("spin", (8,), nonce=1)
+                )
+                assert response.ok
+                assert response.attempts == 1
             finally:
                 await service.close()
 
