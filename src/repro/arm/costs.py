@@ -10,7 +10,7 @@ the *shape* of Table 3 (orderings, ratios such as Enter < Resume <
 Enter+Exit, hash-dominated Attest/Verify, zero-fill-dominated MapData)
 emerges from the implementation rather than being hard-coded.
 
-All constants are plain attributes so ablation benchmarks can build
+All constants are plain attributes so the report's ablations can build
 variant models (e.g. free TLB flushes) to quantify the optimisations the
 paper says it omitted (section 8.1).
 """
@@ -56,14 +56,15 @@ class CostModel:
     def variant(self, **overrides: int) -> "CostModel":
         """A copy of this model with some constants replaced.
 
-        Used by the ablation benchmarks, e.g. ``variant(tlb_flush=0)`` to
-        model the skip-flush-on-reentry optimisation from section 8.1.
+        Used by the ablations in ``repro.tools.report``, e.g.
+        ``variant(tlb_flush=0)`` to model the skip-flush-on-reentry
+        optimisation from section 8.1.
         """
         return replace(self, **overrides)
 
 
 #: Latencies the paper quotes for SGX enclave crossings (section 8.1,
-#: citing Orenbach et al.), used by the comparison benchmark.
+#: citing Orenbach et al.), used by ``repro.tools.report.sgx_row``.
 SGX_EENTER_CYCLES = 3800
 SGX_EEXIT_CYCLES = 3300
 SGX_FULL_CROSSING_CYCLES = 7100

@@ -31,8 +31,8 @@ engine" and "Turbo engine"):
   flush per block; it inherits the fast engine's caches for its
   single-step fallback and reuses the same invalidation contracts.
 
-The default tier comes from the ``KOMODO_ENGINE`` environment variable
-(``fast`` when it is unset).  The engines
+The default tier is ``fast`` (``DEFAULT_ENGINE``); ``CPU(engine=...)``
+and ``KomodoMonitor(cpu_engine=...)`` select another.  The engines
 share one table of operand semantics, so an instruction means the same
 thing in all of them by construction; the differential test suite
 (tests/arm/test_engine_differential.py) checks the rest — cycle
@@ -42,7 +42,6 @@ counts, access traces, faults — is bit-identical too.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -75,7 +74,7 @@ _M = 0xFFFFFFFF
 _USR_BANK = bank_for(Mode.USR)
 
 ENGINES = ("fast", "reference", "turbo")
-DEFAULT_ENGINE = os.environ.get("KOMODO_ENGINE", "fast")
+DEFAULT_ENGINE = "fast"
 
 
 class ExitReason(enum.Enum):

@@ -101,8 +101,8 @@ def _setup_mmu(mon: "KomodoMonitor", asno: int) -> None:
     """Load TTBR0 with the enclave's L1 table and flush the TLB.
 
     The flush is unconditional, matching the paper's unoptimised
-    prototype (section 8.1); the ablation benchmark quantifies skipping
-    it for repeated entries.
+    prototype (section 8.1); ``repro.tools.report.optimisation_rows``
+    quantifies skipping it for repeated entries.
     """
     l1pt = mon.pagedb.l1pt_page(asno)
     mon.state.load_ttbr0(mon.pagedb.page_base(l1pt))
