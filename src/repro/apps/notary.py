@@ -21,6 +21,7 @@ the two should perform equivalently — the point of Figure 5.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -29,7 +30,7 @@ from repro.arm.costs import CostModel
 from repro.arm.memory import PAGE_SIZE, WORDS_PER_PAGE
 from repro.crypto import rsa
 from repro.crypto.rng import HardwareRNG
-from repro.crypto.sha256 import SHA256, sha256
+from repro.crypto.sha256 import sha256
 from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
 from repro.osmodel.kernel import OSKernel
@@ -145,7 +146,7 @@ def _notary_body(ctx: NativeContext, op: int, arg2: int, arg3: int):
         counter = ctx.read_word(STATE_VA + _ST_COUNTER * 4)
         # Hash the document incrementally, yielding between pages so a
         # long document stays preemptible.
-        hasher = SHA256()
+        hasher = hashlib.sha256()
         doc_va = SHARED_BASE_VA + PAGE_SIZE
         remaining = doc_len
         offset = 0

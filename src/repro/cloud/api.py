@@ -208,12 +208,6 @@ class CloudResponse:
             hasher.update(word.to_bytes(4, "big"))
         return hasher.hexdigest()
 
-    def raise_for_status(self) -> "CloudResponse":
-        if self.ok:
-            return self
-        cls = ERROR_CODES.get(self.error_code or "", CloudError)
-        raise cls(self.error or self.error_code or "request failed")
-
     def to_wire(self) -> Dict:
         return {
             "kind": self.kind,

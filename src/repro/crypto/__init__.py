@@ -2,13 +2,17 @@
 
 The paper's prototype borrows a verified ARM SHA-256 from Vale and builds
 an HMAC-SHA256 attestation MAC on top, with a hardware RNG supplying the
-boot-time attestation secret.  This package provides from-scratch Python
-implementations of the same primitives (tested against standard vectors
-and ``hashlib``), plus the RSA signing the notary application needs.
+boot-time attestation secret.  Simulated cost comes from block counts:
+the monitor charges ``CostModel.sha256_block`` per compression, whatever
+computed the digest.  So the hashes are pure Python only where SHA-256's
+8 chaining words are machine-visible (the measurement midstate stored
+in the addrspace page, and the refinement checker's replay of it), and
+every one-shot hash and HMAC runs on ``hashlib``/``hmac``.  The package
+also provides the RSA signing the notary application needs.
 """
 
 from repro.crypto.hmac import hmac_sha256, hmac_sha256_words
 from repro.crypto.rng import HardwareRNG
-from repro.crypto.sha256 import SHA256, sha256
+from repro.crypto.sha256 import sha256
 
-__all__ = ["HardwareRNG", "SHA256", "hmac_sha256", "hmac_sha256_words", "sha256"]
+__all__ = ["HardwareRNG", "hmac_sha256", "hmac_sha256_words", "sha256"]

@@ -1,37 +1,51 @@
-"""HMAC-SHA256 (RFC 2104), built on the from-scratch SHA-256.
+"""HMAC-SHA256 (RFC 2104).
 
 Komodo's local attestation is a MAC over (measurement, enclave-supplied
 data) keyed with a boot-time secret (paper section 4).  The monitor-side
 preconditions mirror the paper's: keys and messages on the attestation
 path are block-aligned word sequences, which keeps padding reasoning
 trivial.
+
+No HMAC midstate is ever stored in machine memory, so the MAC itself is
+computed by the standard library.  What the machine does see is the
+cost: ``on_block`` is called exactly as many times as a from-scratch
+HMAC compresses (see :func:`_hmac_blocks`), so ``CostModel.sha256_block``
+charges are identical to hashing block by block.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac as _hmac
 from typing import Callable, List, Optional, Sequence
 
 from repro.arm.bits import to_word
-from repro.crypto.sha256 import BLOCK_SIZE, SHA256, sha256
+from repro.crypto.sha256 import BLOCK_SIZE
 
-_IPAD = 0x36
-_OPAD = 0x5C
+#: Length padding: the 0x80 byte plus the 8-byte bit count.
+_PAD_BYTES = 9
+
+
+def _hmac_blocks(message_len: int) -> int:
+    """SHA-256 compressions in one HMAC over ``message_len`` bytes.
+
+    The inner hash compresses the 64-byte ipad key block and then the
+    padded message; the outer hash compresses the opad key block and the
+    padded 32-byte inner digest (two blocks).  A key longer than one
+    block is first hashed down to 32 bytes; that hash is not counted.
+    """
+    inner = (BLOCK_SIZE + message_len + _PAD_BYTES + BLOCK_SIZE - 1) // BLOCK_SIZE
+    return inner + 2
 
 
 def hmac_sha256(
     key: bytes, message: bytes, on_block: Optional[Callable[[], None]] = None
 ) -> bytes:
     """Standard HMAC-SHA256 over byte strings."""
-    if len(key) > BLOCK_SIZE:
-        key = sha256(key)
-    key = key + b"\x00" * (BLOCK_SIZE - len(key))
-    inner = SHA256(on_block=on_block)
-    inner.update(bytes(b ^ _IPAD for b in key))
-    inner.update(message)
-    outer = SHA256(on_block=on_block)
-    outer.update(bytes(b ^ _OPAD for b in key))
-    outer.update(inner.digest())
-    return outer.digest()
+    if on_block is not None:
+        for _ in range(_hmac_blocks(len(message))):
+            on_block()
+    return _hmac.digest(key, message, hashlib.sha256)
 
 
 def hmac_sha256_words(

@@ -1,25 +1,36 @@
-"""SHA-256, implemented from scratch (FIPS 180-4).
+"""SHA-256: the from-scratch incremental hash and the one-shot helpers.
 
-The monitor uses SHA-256 for two purposes: the incremental enclave
-measurement computed during construction, and as the compression core of
-the HMAC used for local attestation.  As in the paper's implementation
-(section 7.2), the monitor only ever hashes block-aligned data, so the
-incremental interface exposes a block-at-a-time ``update_block`` used by
-the measurement code, alongside a conventional byte-stream interface.
+Komodo does not implement SHA-256 itself; it calls Vale's verified ARM
+SHA-256 (paper section 7.2), and the simulated cost of every hash is
+``CostModel.sha256_block`` per compressed block, charged through an
+``on_block`` hook.  Simulated cycles therefore depend on block counts
+alone, never on which implementation computed the digest.
 
-A cycle-accounting hook lets the monitor charge the cost model per
-compression; the implementation itself is pure.
+Two implementations follow from that:
+
+* :class:`SHA256` is pure Python (FIPS 180-4) and is used only where the
+  8 chaining words are machine-visible: the enclave measurement, whose
+  midstate and running length live in the addrspace page between calls
+  (``repro.monitor.measurement``), and the refinement checker's replay
+  of the abstract measured sequence (``repro.verification.refinement``).
+  As in the paper, the monitor only ever hashes block-aligned data, so
+  it exposes a block-at-a-time ``update_block_words`` beside the
+  byte-stream ``update``.
+* :func:`sha256` and :func:`sha256_words` are one-shot hashes that
+  persist no midstate; they run on ``hashlib``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, List, Optional, Sequence
 
-from repro.arm.bits import add_wrap, ror, to_word
+from repro.arm.bits import to_word
 
 BLOCK_SIZE = 64  # bytes
 DIGEST_SIZE = 32  # bytes
 DIGEST_WORDS = 8
+_MASK = 0xFFFFFFFF
 
 # First 32 bits of the fractional parts of the cube roots of the first
 # 64 primes (the standard round constants).
@@ -50,38 +61,44 @@ _H0 = [
 ]
 
 
-def _compress(state: List[int], block: Sequence[int]) -> List[int]:
-    """One SHA-256 compression over a 16-word block."""
+def _compress(state: Sequence[int], block: Sequence[int]) -> List[int]:
+    """One SHA-256 compression over a 16-word block.
+
+    Rotations are written out inline and the working variables live in
+    locals: each ``x >> n | x << (32 - n)`` is exact in its low 32 bits,
+    so one mask after the XOR suffices.
+    """
     w = list(block)
+    append = w.append
     for t in range(16, 64):
-        s0 = ror(w[t - 15], 7) ^ ror(w[t - 15], 18) ^ (w[t - 15] >> 3)
-        s1 = ror(w[t - 2], 17) ^ ror(w[t - 2], 19) ^ (w[t - 2] >> 10)
-        w.append(to_word(w[t - 16] + s0 + w[t - 7] + s1))
+        x = w[t - 15]
+        y = w[t - 2]
+        s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ (x >> 3)
+        s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ (y >> 10)
+        append((w[t - 16] + (s0 & _MASK) + w[t - 7] + (s1 & _MASK)) & _MASK)
     a, b, c, d, e, f, g, h = state
-    for t in range(64):
-        big_s1 = ror(e, 6) ^ ror(e, 11) ^ ror(e, 25)
-        ch = (e & f) ^ (to_word(~e) & g)
-        temp1 = to_word(h + big_s1 + ch + _K[t] + w[t])
-        big_s0 = ror(a, 2) ^ ror(a, 13) ^ ror(a, 22)
-        maj = (a & b) ^ (a & c) ^ (b & c)
-        temp2 = to_word(big_s0 + maj)
+    for k, wt in zip(_K, w):
+        s1 = ((e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)) & _MASK
+        temp1 = h + s1 + ((e & f) ^ (~e & g)) + k + wt
+        temp2 = ((a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)) & _MASK
+        temp2 += (a & b) ^ (a & c) ^ (b & c)
         h = g
         g = f
         f = e
-        e = to_word(d + temp1)
+        e = (d + temp1) & _MASK
         d = c
         c = b
         b = a
-        a = to_word(temp1 + temp2)
+        a = (temp1 + temp2) & _MASK
     return [
-        add_wrap(state[0], a),
-        add_wrap(state[1], b),
-        add_wrap(state[2], c),
-        add_wrap(state[3], d),
-        add_wrap(state[4], e),
-        add_wrap(state[5], f),
-        add_wrap(state[6], g),
-        add_wrap(state[7], h),
+        (state[0] + a) & _MASK,
+        (state[1] + b) & _MASK,
+        (state[2] + c) & _MASK,
+        (state[3] + d) & _MASK,
+        (state[4] + e) & _MASK,
+        (state[5] + f) & _MASK,
+        (state[6] + g) & _MASK,
+        (state[7] + h) & _MASK,
     ]
 
 
@@ -138,7 +155,7 @@ class SHA256:
             raise RuntimeError("block interface mixed with unaligned bytes")
         if len(words) != 16:
             raise ValueError("a block is exactly 16 words")
-        self._state = _compress(self._state, [to_word(w) for w in words])
+        self._state = _compress(self._state, [w & _MASK for w in words])
         self._length += BLOCK_SIZE
         if self._on_block:
             self._on_block()
@@ -180,14 +197,11 @@ class SHA256:
 
 
 def sha256(data: bytes) -> bytes:
-    """One-shot SHA-256."""
-    hasher = SHA256()
-    hasher.update(data)
-    return hasher.digest()
+    """One-shot SHA-256 (no midstate is kept, so ``hashlib``)."""
+    return hashlib.sha256(data).digest()
 
 
 def sha256_words(words: Sequence[int]) -> List[int]:
     """One-shot SHA-256 over a word sequence, returning 8 words."""
-    hasher = SHA256()
-    hasher.update(b"".join(to_word(w).to_bytes(4, "big") for w in words))
-    return hasher.digest_words()
+    digest = sha256(b"".join(to_word(w).to_bytes(4, "big") for w in words))
+    return [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 32, 4)]

@@ -48,6 +48,7 @@ its commit point, so data and tags are crash-atomic together.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from array import array
 from dataclasses import dataclass, field
@@ -110,13 +111,23 @@ def page_checksum(words: Iterable[int]) -> int:
     CRC-32 detects every single-bit (indeed every burst-of-32) error,
     which is exactly the fault model; it is not keyed because the tag
     region lives in monitor data memory the OS can never read or write.
+    A word-cast ``memoryview`` (``PhysicalMemory.view_words``) is hashed
+    in place; any other sequence of words is packed first.
     """
-    return zlib.crc32(array(_TYPECODE, words).tobytes()) & 0xFFFFFFFF
+    if not isinstance(words, memoryview):
+        words = array(_TYPECODE, words)
+    return zlib.crc32(words) & 0xFFFFFFFF
 
 
+#: Bound on :func:`entry_checksum`'s memo.  A healthy PageDB holds a few
+#: (type, owner) pairs per addrspace; flipped words add one pair each.
+ENTRY_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=ENTRY_MEMO_SIZE)
 def entry_checksum(type_word: int, owner_word: int) -> int:
-    """Checksum of one PageDB entry."""
-    return zlib.crc32(array(_TYPECODE, (type_word, owner_word)).tobytes()) & 0xFFFFFFFF
+    """Checksum of one PageDB entry (memoised, bounded)."""
+    return zlib.crc32(array(_TYPECODE, (type_word, owner_word))) & 0xFFFFFFFF
 
 
 def _peek(memory: PhysicalMemory, address: int) -> int:
@@ -132,6 +143,15 @@ def _peek_words(memory: PhysicalMemory, address: int, count: int) -> List[int]:
     saved = memory.read_ops
     try:
         return memory.read_words(address, count)
+    finally:
+        memory.read_ops = saved
+
+
+def _peek_page_checksum(memory: PhysicalMemory, base: int) -> int:
+    """Content tag of the page at ``base``, read zero-copy as an engine read."""
+    saved = memory.read_ops
+    try:
+        return page_checksum(memory.view_words(base, WORDS_PER_PAGE))
     finally:
         memory.read_ops = saved
 
@@ -313,6 +333,11 @@ def check_pagedb(
     corrupted word always identifies itself: the checksum arbitrates
     between primary and replica, and the two copies arbitrate a
     corrupted checksum.
+
+    The common case, all three copies agreeing, is decided by two list
+    comparisons against the memoised entry checksums; anything else
+    goes through the per-entry loop of :func:`_repair_pagedb`, which is
+    the only code that decides a repair.
     """
     memmap = state.memmap
     base = memmap.monitor_image.base
@@ -321,6 +346,21 @@ def check_pagedb(
     primary = _peek_words(memory, pagedb_entry_addr(base, 0), npages * 2)
     replica = _peek_words(memory, itag_replica_addr(base, 0), npages * 2)
     sums = _peek_words(memory, itag_entry_sum_addr(base, npages, 0), npages)
+    type_words = primary[0::2]
+    owner_words = primary[1::2]
+    if primary == replica and sums == list(
+        map(entry_checksum, type_words, owner_words)
+    ):
+        return dict(enumerate(type_words)), dict(enumerate(owner_words)), [], 0
+    return _repair_pagedb(state, primary, replica, sums)
+
+
+def _repair_pagedb(
+    state: MachineState, primary: List[int], replica: List[int], sums: List[int]
+) -> Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], int]:
+    """The per-entry arbitration behind :func:`check_pagedb`."""
+    base = state.memmap.monitor_image.base
+    npages = state.memmap.secure_pages
     types: Dict[int, int] = {}
     owners: Dict[int, int] = {}
     fixes: List[Tuple[int, int]] = []
@@ -363,8 +403,7 @@ def check_pagedb(
 def _page_tag_ok(state: MachineState, pageno: int) -> bool:
     base = state.memmap.monitor_image.base
     npages = state.memmap.secure_pages
-    content = _peek_words(state.memory, state.memmap.page_base(pageno), WORDS_PER_PAGE)
-    return page_checksum(content) == _peek(
+    return _peek_page_checksum(state.memory, state.memmap.page_base(pageno)) == _peek(
         state.memory, itag_page_tag_addr(base, npages, pageno)
     )
 
@@ -622,13 +661,10 @@ def refresh_data_tags(mon: "KomodoMonitor", asno: int) -> None:
 
     def _retag():
         for pageno in data_pages:
-            content = _peek_words(
-                state.memory, memmap.page_base(pageno), WORDS_PER_PAGE
-            )
             _twrite(
                 state,
                 itag_page_tag_addr(base, npages, pageno),
-                page_checksum(content),
+                _peek_page_checksum(state.memory, memmap.page_base(pageno)),
             )
         _twrite(state, itag_dirty_addr(base, npages, asno), 0)
 

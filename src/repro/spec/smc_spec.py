@@ -13,6 +13,7 @@ by re-hashing the abstract sequence, see ``repro.verification``).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Sequence, Tuple
 
 from repro.arm.pagetable import L1_ENTRIES
@@ -266,15 +267,14 @@ def spec_finalise(db: AbsPageDb, as_page: int) -> SpecResult:
         return (err, db)
     from dataclasses import replace
 
-    from repro.crypto.sha256 import SHA256
-
     aspace = db[as_page]
-    hasher = SHA256()
-    hasher.update(b"".join((w & 0xFFFFFFFF).to_bytes(4, "big") for w in aspace.measured))
-    digest = tuple(hasher.digest_words())
+    digest = hashlib.sha256(
+        b"".join((w & 0xFFFFFFFF).to_bytes(4, "big") for w in aspace.measured)
+    ).digest()
+    measurement = tuple(int.from_bytes(digest[i : i + 4], "big") for i in range(0, 32, 4))
     new = db.updated(
         as_page,
-        replace(aspace, state=AddrspaceState.FINAL, measurement=digest),
+        replace(aspace, state=AddrspaceState.FINAL, measurement=measurement),
     )
     return (KomErr.SUCCESS, new)
 

@@ -9,7 +9,8 @@ the rest:
 * a ``ValueError`` from building the campaigns (a zero stride, an
   unknown step, target or pipeline) is a usage error: exit 2;
 * each leg (one campaign, or one per engine for a differential) runs
-  across ``--jobs`` forked shards and prints its report digest;
+  across ``--jobs`` forked shards (at most one per CPU) and prints its
+  report digest;
   ``--verify-serial`` re-runs it serially and fails on any divergence;
 * with ``--check`` any violation exits 1; without it the run only
   reports, and exits 0.
@@ -21,7 +22,7 @@ import argparse
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.faults.parallel import differential, report_digest, run_sharded
+from repro.faults.parallel import differential, report_digest, run_sharded, usable_jobs
 
 #: ``--engine`` values that name a differential over several engines.
 ENGINE_SETS = {"both": ("fast", "reference"), "all": ("fast", "reference", "turbo")}
@@ -111,8 +112,8 @@ def _parser(tool: CampaignTool) -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard trials across N forked workers; the merged report "
-        "is byte-identical to the serial run (1 = serial)",
+        help="shard trials across N forked workers, at most one per CPU; "
+        "the merged report is byte-identical to the serial run (1 = serial)",
     )
     parser.add_argument(
         "--verify-serial",
@@ -133,7 +134,7 @@ def _run(tool: CampaignTool, leg: Sequence, jobs: int) -> Tuple[List, List[str]]
 
 
 def _run_leg(tool: CampaignTool, leg: Sequence, args) -> List[str]:
-    reports, mismatches = _run(tool, leg, args.jobs)
+    reports, mismatches = _run(tool, leg, usable_jobs(args.jobs))
     failures: List[str] = []
     for report in reports:
         tool.print_report(report)

@@ -33,6 +33,7 @@ from repro.analysis.symbex.explore import driver_names, explore_smc, get_driver
 from repro.analysis.symbex.replay import DEFAULT_ENGINES, ReplayHarness
 from repro.analysis.symbex.scenario import PROG_VA, default_program, svc_probe_program
 from repro.analysis.symbex.witness import build_witnesses, save_corpus
+from repro.faults.parallel import check_witnesses_sharded, usable_jobs
 
 BASELINE_PATH = (
     pathlib.Path(__file__).resolve().parents[1] / "analysis" / "symbex" / "baseline.json"
@@ -166,9 +167,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="shard witness replay across N forked workers "
-        "(repro.faults.parallel); the failure list is identical to the "
-        "serial harness's (1 = serial)",
+        help="shard witness replay across N forked workers, at most one "
+        "per CPU (repro.faults.parallel); the failure list is identical to "
+        "the serial harness's (1 = serial)",
     )
     parser.add_argument("--list", action="store_true", help="list SMC drivers")
     args = parser.parse_args(argv)
@@ -225,11 +226,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.check and args.engine != "none":
         engines = DEFAULT_ENGINES if args.engine == "all" else (args.engine,)
-        if args.jobs > 1:
-            from repro.faults.parallel import check_witnesses_sharded
-
+        jobs = usable_jobs(args.jobs)
+        if jobs > 1:
             failures = check_witnesses_sharded(
-                witnesses, args.jobs, engines=engines, trial_timeout=args.timeout
+                witnesses, jobs, engines=engines, trial_timeout=args.timeout
             )
         else:
             harness = ReplayHarness(engines=engines)

@@ -2,8 +2,11 @@
 (exit 2, no traceback), and ``--check`` alone turns violations into
 exit 1."""
 
+import os
+
 import pytest
 
+from repro.faults import parallel
 from repro.tools import bitflip, faultcamp, pipecamp
 
 TOOLS = {"faultcamp": faultcamp.main, "bitflip": bitflip.main, "pipecamp": pipecamp.main}
@@ -61,3 +64,21 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "verify-serial [turbo]: jobs=2" in out and ": OK" in out
         assert "faultcamp: every injection point recovered" in out
+
+
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, capsys):
+    """``--jobs 4`` on a one-CPU host runs serially instead of forking
+    four shards onto one core."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    asked = []
+    run_shards = parallel.run_shards
+
+    def recording(fn, jobs):
+        asked.append(jobs)
+        return run_shards(fn, jobs)
+
+    monkeypatch.setattr(parallel, "run_shards", recording)
+    argv = ["--check", "--steps", "stop", "--stride", "3", "--jobs", "4"]
+    assert faultcamp.main(argv) == 0
+    assert asked == [1]
+    assert "faultcamp: " in capsys.readouterr().out

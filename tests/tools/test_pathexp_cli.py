@@ -1,5 +1,7 @@
 """CLI tests for pathexp: bad input is a usage error (exit 2), not a failed check."""
 
+import os
+
 import pytest
 
 from repro.tools import pathexp
@@ -21,3 +23,15 @@ def test_bad_input_is_a_usage_error(argv, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "usage:" in err
     assert "Traceback" not in err
+
+
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, capsys):
+    """On a one-CPU host ``--jobs 4`` replays serially, in process."""
+
+    def no_shards(*args, **kwargs):
+        raise AssertionError("a one-CPU host must not fork replay shards")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(pathexp, "check_witnesses_sharded", no_shards)
+    assert pathexp.main(["--smc", "get_physpages", "--check", "--jobs", "4"]) == 0
+    assert "replayed cleanly on turbo" in capsys.readouterr().out
