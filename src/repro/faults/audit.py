@@ -46,6 +46,9 @@ from repro.monitor.layout import (
     AS_REFCOUNT_WORD,
     AS_STATE_WORD,
     AddrspaceState,
+    PAGEDB_ENTRY_WORDS,
+    PAGEDB_OWNER_WORD,
+    PAGEDB_TYPE_WORD,
     PageType,
     TH_ENTERED_WORD,
     TH_FAULT_HANDLER_WORD,
@@ -94,10 +97,13 @@ def machine_consistency(state: MachineState) -> List[str]:
     # -- PageDB entry sanity --------------------------------------------
     types = {}
     owners = {}
+    entries = memory.read_words(
+        pagedb_entry_addr(image_base, 0), npages * PAGEDB_ENTRY_WORDS
+    )
     for pageno in range(npages):
-        entry = pagedb_entry_addr(image_base, pageno)
-        type_word = memory.read_word(entry)
-        owner = memory.read_word(entry + WORDSIZE)
+        entry = pageno * PAGEDB_ENTRY_WORDS
+        type_word = entries[entry + PAGEDB_TYPE_WORD]
+        owner = entries[entry + PAGEDB_OWNER_WORD]
         try:
             types[pageno] = PageType(type_word)
         except ValueError:
@@ -184,8 +190,7 @@ def machine_consistency(state: MachineState) -> List[str]:
             continue
         base = memmap.page_base(pageno)
         if page_type is PageType.L1PTABLE:
-            for index in range(L1_ENTRIES):
-                word = memory.read_word(base + index * WORDSIZE)
+            for index, word in enumerate(memory.read_words(base, L1_ENTRIES)):
                 kind = entry_type(word)
                 if kind == DESC_INVALID:
                     continue
@@ -204,8 +209,7 @@ def machine_consistency(state: MachineState) -> List[str]:
                 elif owners.get(l2page) != owners.get(pageno):
                     problems.append(f"L1 {pageno}[{index}]: crosses addrspaces")
         elif page_type is PageType.L2PTABLE:
-            for index in range(L2_ENTRIES):
-                word = memory.read_word(base + index * WORDSIZE)
+            for index, word in enumerate(memory.read_words(base, L2_ENTRIES)):
                 kind = entry_type(word)
                 if kind == DESC_INVALID:
                     continue

@@ -23,15 +23,19 @@ each buffered store charged its cycles when the handler issued it (see
 ``MachineState.mon_write_word``), so staging, committing, applying and
 clearing charge nothing — the cycle-level behaviour of a handler is
 bit-identical to the eager-write monitor the benchmarks pinned.
+
+While a handler runs, ``MonitorTransaction`` keeps its pending state per
+page beside the redo list, so that zeroing or copying a page costs one
+list and a merged bulk read patches only the pending pages it covers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arm.bits import WORDSIZE
 from repro.arm.machine import FaultInjected, MachineState
-from repro.arm.memory import WORDS_PER_PAGE, PhysicalMemory
+from repro.arm.memory import PAGE_SIZE, WORDS_PER_PAGE, PhysicalMemory
 from repro.monitor.layout import (
     JE_PAGE,
     JE_WRITE,
@@ -44,6 +48,9 @@ from repro.monitor.layout import (
 
 #: Maximum payload the journal region can hold, in words.
 JOURNAL_CAPACITY_WORDS = JOURNAL_SIZE // WORDSIZE - JOURNAL_HEADER_WORDS
+
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+_PAGE_MASK = PAGE_SIZE - 1
 
 #: Recovery outcomes, in the order recover() tries them.
 RECOVERY_CLEAN = "clean"
@@ -228,28 +235,51 @@ class MonitorTransaction:
 
     Attached to ``MachineState.txn`` for the duration of a handler;
     ``mon_write_word`` and friends record into it instead of storing,
-    and monitor reads merge the ``_overlay`` so the handler observes its
-    own pending writes (read-your-writes).
+    and monitor reads merge the pending state so the handler observes
+    its own pending writes (read-your-writes).
+
+    ``ops`` is the redo log in the order the handler made its stores.
+    Beside it the pending state is kept per page, keyed by page number:
+    a page the transaction zeroed or copied holds a full
+    ``WORDS_PER_PAGE``-word image (later word stores patch it in place),
+    and any other page a small dict of its sparse word stores, keyed by
+    word index.  Recording a zero or a copy is therefore one list, and a
+    bulk read patches only the pending pages its span covers.  Addresses
+    are word aligned, as every ``PhysicalMemory`` access is.
     """
 
-    __slots__ = ("ops", "_overlay")
+    __slots__ = ("ops", "_pages")
 
     def __init__(self) -> None:
         self.ops: List[tuple] = []
-        self._overlay = {}
+        #: page number -> full image (list) or sparse stores (dict),
+        #: both indexed by word index within the page.
+        self._pages: Dict[int, Union[List[int], Dict[int, int]]] = {}
 
     # -- recording (called from MachineState monitor helpers) -----------
+
+    def _store_page(self, base: int, content: List[int]) -> None:
+        if base & _PAGE_MASK:
+            # Word aligned but not page aligned: the image straddles two
+            # pages, so patch it in word by word.
+            for i, word in enumerate(content):
+                address = base + i * WORDSIZE
+                self._pages.setdefault(address >> _PAGE_SHIFT, {})[
+                    (address & _PAGE_MASK) >> 2
+                ] = word
+        else:
+            self._pages[base >> _PAGE_SHIFT] = content
 
     def record_write(self, address: int, value: int) -> None:
         value &= 0xFFFFFFFF
         self.ops.append((JE_WRITE, address, value))
-        self._overlay[address] = value
+        self._pages.setdefault(address >> _PAGE_SHIFT, {})[
+            (address & _PAGE_MASK) >> 2
+        ] = value
 
     def record_zero(self, base: int) -> None:
         self.ops.append((JE_ZERO, base))
-        overlay = self._overlay
-        for i in range(WORDS_PER_PAGE):
-            overlay[base + i * WORDSIZE] = 0
+        self._store_page(base, [0] * WORDS_PER_PAGE)
 
     def record_copy_page(self, memory: PhysicalMemory, src: int, dst: int) -> None:
         # Snapshot the source *now* (merged with our own pending writes)
@@ -257,27 +287,44 @@ class MonitorTransaction:
         # between the crash and recovery.
         content = self.read_words(memory, src, WORDS_PER_PAGE)
         self.ops.append((JE_PAGE, dst, tuple(content)))
-        overlay = self._overlay
-        for i, word in enumerate(content):
-            overlay[dst + i * WORDSIZE] = word
+        self._store_page(dst, content)
 
     # -- read-your-writes ------------------------------------------------
 
     def read(self, address: int) -> Optional[int]:
         """The buffered value at ``address``, or None if unbuffered."""
-        return self._overlay.get(address)
+        page = self._pages.get(address >> _PAGE_SHIFT)
+        if page is None:
+            return None
+        if type(page) is list:
+            return page[(address & _PAGE_MASK) >> 2]
+        return page.get((address & _PAGE_MASK) >> 2)
 
     def read_words(
         self, memory: PhysicalMemory, address: int, count: int
     ) -> List[int]:
         """Bulk read merging buffered stores over physical memory."""
         words = memory.read_words(address, count)
-        overlay = self._overlay
-        if overlay:
-            for i in range(count):
-                value = overlay.get(address + i * WORDSIZE)
-                if value is not None:
-                    words[i] = value
+        pages = self._pages
+        if not pages or not count:
+            return words
+        end = address + count * WORDSIZE
+        for pageno in range(address >> _PAGE_SHIFT, ((end - 1) >> _PAGE_SHIFT) + 1):
+            page = pages.get(pageno)
+            if page is None:
+                continue
+            # The span's overlap with this page, as word indices within
+            # the page [first, last) and the position of first in words.
+            start = max(address, pageno << _PAGE_SHIFT)
+            first = (start & _PAGE_MASK) >> 2
+            last = first + ((min(end, (pageno + 1) << _PAGE_SHIFT) - start) >> 2)
+            at = (start - address) >> 2
+            if type(page) is list:
+                words[at : at + last - first] = page[first:last]
+            else:
+                for index, value in page.items():
+                    if first <= index < last:
+                        words[at + index - first] = value
         return words
 
     # -- commit ----------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.arm.bits import WORDSIZE
 from repro.arm.machine import MachineState
 from repro.arm.memory import WORDS_PER_PAGE
 from repro.arm.pagetable import (
@@ -111,8 +110,7 @@ def _extract_entry(state: MachineState, pagedb: PageDB, pageno: int):
 def _extract_l1(state: MachineState, pagedb: PageDB, pageno: int, owner: int) -> AbsL1:
     base = pagedb.page_base(pageno)
     entries = []
-    for index in range(L1_ENTRIES):
-        word = state.memory.read_word(base + index * WORDSIZE)
+    for index, word in enumerate(state.memory.read_words(base, L1_ENTRIES)):
         kind = entry_type(word)
         if kind == DESC_INVALID:
             entries.append(None)
@@ -131,8 +129,7 @@ def _extract_l1(state: MachineState, pagedb: PageDB, pageno: int, owner: int) ->
 def _extract_l2(state: MachineState, pagedb: PageDB, pageno: int, owner: int) -> AbsL2:
     base = pagedb.page_base(pageno)
     entries = []
-    for index in range(L2_ENTRIES):
-        word = state.memory.read_word(base + index * WORDSIZE)
+    for index, word in enumerate(state.memory.read_words(base, L2_ENTRIES)):
         kind = entry_type(word)
         if kind == DESC_INVALID:
             entries.append(None)

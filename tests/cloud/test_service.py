@@ -36,9 +36,10 @@ def mixed_requests(count_per_kind=2):
 
 
 #: A request whose wall-clock far exceeds any test timeout but whose
-#: step budget permits it — the "wedged worker" stand-in.
+#: step budget permits it — the "wedged worker" stand-in.  The spin is
+#: just under the template's default 2,000,000-step budget.
 def wedge_request(nonce=0):
-    return CloudRequest("spin", (1_000_000,), nonce=nonce)
+    return CloudRequest("spin", (1_990_000,), nonce=nonce)
 
 
 class TestServing:
@@ -304,7 +305,7 @@ class TestTimeoutsAndShutdown:
         async def body():
             service = CloudService(
                 workers=1,
-                request_timeout=0.3,
+                request_timeout=0.1,
                 max_attempts=2,
                 breaker_threshold=1_000_000,
             )

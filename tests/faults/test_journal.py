@@ -1,8 +1,11 @@
 """The redo journal: encoding, commit point, replay-or-discard recovery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arm.bits import WORDSIZE
+from repro.arm.machine import MachineState
 from repro.arm.memory import WORDS_PER_PAGE
 from repro.faults.injector import FaultInjected, FaultPlan, inject
 from repro.monitor import journal
@@ -184,3 +187,125 @@ class TestRunTransactional:
         with pytest.raises(ZeroDivisionError):
             journal.run_transactional(state, lambda: 1 // 0, lambda _: True)
         assert state.txn is None
+
+
+class FlatOverlay:
+    """Reference model: one flat address -> value overlay, the semantics
+    the per-page pending state must reproduce."""
+
+    def __init__(self) -> None:
+        self.ops = []
+        self.overlay = {}
+
+    def record_write(self, address, value):
+        value &= 0xFFFFFFFF
+        self.ops.append((JE_WRITE, address, value))
+        self.overlay[address] = value
+
+    def record_zero(self, base):
+        self.ops.append((JE_ZERO, base))
+        for i in range(WORDS_PER_PAGE):
+            self.overlay[base + i * WORDSIZE] = 0
+
+    def record_copy_page(self, memory, src, dst):
+        content = self.read_words(memory, src, WORDS_PER_PAGE)
+        self.ops.append((JE_PAGE, dst, tuple(content)))
+        for i, word in enumerate(content):
+            self.overlay[dst + i * WORDSIZE] = word
+
+    def read(self, address):
+        return self.overlay.get(address)
+
+    def read_words(self, memory, address, count):
+        words = memory.read_words(address, count)
+        for i in range(count):
+            value = self.overlay.get(address + i * WORDSIZE)
+            if value is not None:
+                words[i] = value
+        return words
+
+
+#: The differential test works on this many consecutive secure pages.
+WINDOW_PAGES = 4
+
+_word_index = st.one_of(
+    st.sampled_from([0, 1, WORDS_PER_PAGE - 1]),
+    st.integers(0, WORDS_PER_PAGE - 1),
+)
+# Zero/copy bases are word aligned; most are page aligned, some straddle
+# two pages (hence the last page of the window is never a base).
+_page_base = st.tuples(
+    st.integers(0, WINDOW_PAGES - 2), st.one_of(st.just(0), _word_index)
+)
+_op = st.one_of(
+    st.tuples(
+        st.just("write"),
+        st.integers(0, WINDOW_PAGES - 1),
+        _word_index,
+        st.integers(0, 2**33),
+    ),
+    st.tuples(st.just("zero"), _page_base),
+    st.tuples(st.just("copy"), _page_base, _page_base),
+)
+_span = st.tuples(
+    st.integers(0, WINDOW_PAGES - 1),
+    _word_index,
+    st.one_of(
+        st.sampled_from([0, 1, WORDS_PER_PAGE, WORDS_PER_PAGE + 1]),
+        st.integers(0, 2 * WORDS_PER_PAGE),
+    ),
+)
+
+
+class TestPerPageOverlay:
+    """The per-page pending state against the flat reference model."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(_op, max_size=12),
+        spans=st.lists(_span, min_size=1, max_size=6),
+        seed_words=st.lists(st.integers(0, 0xFFFFFFFF), min_size=8, max_size=8),
+    )
+    def test_matches_flat_overlay(self, ops, spans, seed_words):
+        state = MachineState.boot(secure_pages=WINDOW_PAGES + 1)
+        memory = state.memory
+        base = state.memmap.page_base(0)
+        # Non-zero memory, so a missed patch cannot read back as a match.
+        for i, word in enumerate(seed_words):
+            memory.write_word(base + i * 509 * WORDSIZE, word)
+
+        def address(page, word):
+            return base + page * 0x1000 + word * WORDSIZE
+
+        txn = journal.MonitorTransaction()
+        ref = FlatOverlay()
+        probes = set()
+        for op in ops:
+            if op[0] == "write":
+                _, page, word, value = op
+                probes.add(address(page, word))
+                txn.record_write(address(page, word), value)
+                ref.record_write(address(page, word), value)
+            elif op[0] == "zero":
+                dst = address(*op[1])
+                probes.update((dst - WORDSIZE, dst, dst + 0xFFC, dst + 0x1000))
+                txn.record_zero(dst)
+                ref.record_zero(dst)
+            else:
+                src, dst = address(*op[1]), address(*op[2])
+                probes.update((dst - WORDSIZE, dst, dst + 0xFFC, dst + 0x1000))
+                txn.record_copy_page(memory, src, dst)
+                ref.record_copy_page(memory, src, dst)
+        assert txn.ops == ref.ops
+        for probe in probes:
+            assert txn.read(probe) == ref.read(probe)
+        limit = address(WINDOW_PAGES, 0) + 0x1000
+        for page, word, count in spans:
+            start = address(page, word)
+            count = min(count, (limit - start) // WORDSIZE)
+            before = memory.read_ops
+            got = txn.read_words(memory, start, count)
+            middle = memory.read_ops
+            assert got == ref.read_words(memory, start, count)
+            # One physical read transaction each, exactly as before.
+            assert middle - before == memory.read_ops - middle
