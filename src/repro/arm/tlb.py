@@ -78,6 +78,11 @@ class TLB:
             if self._l1_base is not None and page == self._l1_base & _PAGE_MASK:
                 self._recompute_footprint()
 
+    def watches(self, address: int) -> bool:
+        """True when a store to ``address`` would poison the TLB: the
+        address lies in the live L1 table or an L2 table it references."""
+        return address & _PAGE_MASK in self._table_pages
+
     def require_consistent(self) -> None:
         """Entry-time check the monitor relies on before running user code."""
         if not self.consistent:

@@ -6,7 +6,11 @@ impractically slow fully interpreted; the SDK therefore also supports
 enclave's user-mode code.  Fidelity is preserved where it matters:
 
 * every memory access goes through the enclave's own page tables with
-  permission checks, exactly like an interpreted load/store;
+  permission checks, exactly like an interpreted load/store.  Like the
+  fast engine's, the translations are cached in the micro-TLB
+  (``UArchState.utlb``), which is discarded whenever ``TLB.version``
+  moves and on ``restore``.  Word runs move one page at a time, and
+  each word is still charged the PageDB lookup of the addrspace's L1PT;
 * work is charged to the same cycle-cost model;
 * ``yield`` marks a preemption point — an injected interrupt suspends the
   generator, the thread is marked entered, and Resume continues it;
@@ -22,12 +26,15 @@ from __future__ import annotations
 from typing import Callable, Generator, List, Optional
 
 from repro.arm.bits import WORDSIZE
+from repro.arm.memory import PAGE_SIZE
 from repro.arm.pagetable import PageTableWalker
 from repro.crypto.sha256 import sha256
 from repro.monitor.enclave_exec import NativeFault, dispatch_svc
 from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
 from repro.monitor.layout import SVC
+
+_PAGE_OFFSET = PAGE_SIZE - 1
 
 
 class NativeContext:
@@ -44,16 +51,33 @@ class NativeContext:
     # -- memory access through the enclave's page tables ------------------
 
     def _translate(self, va: int, write: bool) -> int:
-        pagedb = self.monitor.pagedb
-        l1_base = pagedb.page_base(pagedb.l1pt_page(self.asno))
-        translation = self._walker.walk(l1_base, va)
+        """Physical address of ``va``, or ``NativeFault``.
+
+        Looks the page up in the fast engine's micro-TLB, under the same
+        contract: the cache is dropped when ``TLB.version`` moves (a
+        flush, a TTBR0 load, a store into a live table) and by
+        ``restore``.  A miss walks from TTBR0, which Enter and Resume
+        load from this addrspace's L1PT.  A failed walk is never cached,
+        and the permission check runs on every access.
+        """
+        state = self.monitor.state
+        # The cost model reads the addrspace's L1PT word from the PageDB
+        # on every access, hit or miss: one mem_access per word, which
+        # the pinned cycle counts include.
+        state.charge(state.costs.mem_access)
+        uarch = state.uarch
+        if uarch.utlb_version != state.tlb.version:
+            uarch.utlb = {}
+            uarch.utlb_version = state.tlb.version
+        translation = uarch.utlb.get(va >> 12)
         if translation is None:
+            translation = self._walker.walk(state.ttbr0, va)
+            if translation is None:
+                raise NativeFault()
+            uarch.utlb[va >> 12] = translation
+        if not (translation.writable if write else translation.readable):
             raise NativeFault()
-        if write and not translation.writable:
-            raise NativeFault()
-        if not write and not translation.readable:
-            raise NativeFault()
-        return translation.phys_addr(va)
+        return translation.phys_base | (va & _PAGE_OFFSET)
 
     def read_word(self, va: int) -> int:
         if va % WORDSIZE:
@@ -70,12 +94,57 @@ class NativeContext:
         self.monitor.state.memory.write_word(paddr, value)
         self.monitor.state.tlb.note_store(paddr)
 
+    # The bulk accessors below move a run one page chunk at a time: one
+    # translation, one memory burst, and 2n mem_access in all for the n
+    # words (each word costs the L1PT lookup plus the access).  Cycles,
+    # memory contents and the fault point are those of the per-word
+    # loop: a fault on a page is raised after that page's L1PT charge
+    # and before any of its words move.  The first word's access is
+    # charged before the burst, so a bus fault (a descriptor pointing
+    # outside RAM fails on a chunk's first word) costs what it did per
+    # word.  A memory-engine integrity check failing mid-chunk aborts
+    # the SMC and is charged as if at the chunk's first word.
+
     def read_words(self, va: int, count: int) -> List[int]:
-        return [self.read_word(va + i * WORDSIZE) for i in range(count)]
+        if count <= 0:
+            return []
+        if va % WORDSIZE:
+            raise NativeFault()
+        state = self.monitor.state
+        access = state.costs.mem_access
+        words: List[int] = []
+        while len(words) < count:
+            n = min(count - len(words), (PAGE_SIZE - (va & _PAGE_OFFSET)) // WORDSIZE)
+            paddr = self._translate(va, write=False)
+            state.charge(access)
+            words += state.memory.read_words(paddr, n)
+            state.charge(2 * (n - 1) * access)
+            va += n * WORDSIZE
+        return words
 
     def write_words(self, va: int, words) -> None:
-        for i, word in enumerate(words):
-            self.write_word(va + i * WORDSIZE, word)
+        words = list(words)
+        if not words:
+            return
+        if va % WORDSIZE:
+            raise NativeFault()
+        state = self.monitor.state
+        access = state.costs.mem_access
+        done = 0
+        while done < len(words):
+            n = min(len(words) - done, (PAGE_SIZE - (va & _PAGE_OFFSET)) // WORDSIZE)
+            paddr = self._translate(va, write=True)
+            if state.tlb.watches(paddr):
+                # The frame is a live page table (a corrupted descriptor
+                # can map one): a store may retarget the next word's
+                # translation, so walk again after every word.
+                n = 1
+            state.charge(access)
+            state.memory.write_words(paddr, words[done : done + n])
+            state.charge(2 * (n - 1) * access)
+            state.tlb.note_store(paddr)
+            done += n
+            va += n * WORDSIZE
 
     def read_bytes(self, va: int, count: int) -> bytes:
         """Read a word-aligned byte range (big-endian word packing)."""
