@@ -22,10 +22,17 @@ variants differ only in which *physical* attacker they defeat).
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List
 
 from repro.arm.bits import WORDSIZE, to_word
-from repro.arm.memory import WORDS_PER_PAGE, MemoryFault, MemoryMap, PhysicalMemory
+from repro.arm.memory import (
+    _TYPECODE,
+    WORDS_PER_PAGE,
+    MemoryFault,
+    MemoryMap,
+    PhysicalMemory,
+)
 from repro.crypto.sha256 import sha256
 
 
@@ -108,6 +115,17 @@ class EncryptedMemory(PhysicalMemory):
         # out ciphertext and skip tag verification.  Word-wise like every
         # other bulk op here (one read transaction per word).
         return self.read_words(address, count)
+
+    def region_bytes(self, base: int, size: int) -> bytes:
+        # Insecure spans are stored in plaintext: the base slice.  A span
+        # touching a protected region is read through the engine, so the
+        # fingerprint is plaintext and a tampered word still raises
+        # ``IntegrityViolation``.
+        raw = super().region_bytes(base, size)  # faults like the base class
+        insecure = self.map.insecure
+        if insecure.base <= base and base + size <= insecure.limit:
+            return raw
+        return array(_TYPECODE, self.read_words(base, size // WORDSIZE)).tobytes()
 
     def write_words(self, address: int, values: Iterable[int]) -> None:
         for i, value in enumerate(values):

@@ -15,7 +15,9 @@ Storage is a flat ``bytearray`` covering the whole RAM range (the
 regions tile one contiguous span by construction) viewed through a
 ``memoryview`` cast to native 32-bit words, so word access is an index
 operation and the bulk page helpers — zero, copy, burst read/write,
-and the zero-copy ``view_words`` window — are single slice operations.
+the zero-copy ``view_words`` window, and the ``region_bytes``
+fingerprint that memory-region comparisons and digests use — are single
+slice operations.
 ``generation`` counts every mutation; the fast-path execution engine
 uses it to invalidate its decoded-instruction cache (see DESIGN.md,
 "Fast-path engine").  ``read_ops`` and ``write_ops`` count read/write
@@ -311,6 +313,20 @@ class PhysicalMemory:
         self.generation += 1
         self.write_ops += 1
 
+    def region_bytes(self, base: int, size: int) -> bytes:
+        """Immutable copy of the ``size`` bytes at ``base``: one slice.
+
+        The fingerprint that region comparisons (``==``) and digests
+        use.  It neither reads nor changes the dirty-page set and is not
+        a read transaction; a misaligned or out-of-range span faults
+        like every bulk read.  ``EncryptedMemory`` overrides it for
+        protected spans (their plaintext must pass the engine).
+        """
+        if size % WORDSIZE or size < 0:
+            raise MemoryFault(base, f"region size {size:#x} is not whole words")
+        offset = self._span(base, size // WORDSIZE) << 2
+        return bytes(self._buf[offset : offset + size])
+
     def snapshot_region(self, region: Region) -> Dict[int, int]:
         """Sparse snapshot of the words stored within ``region``."""
         start = self._span(region.base, region.size // WORDSIZE)
@@ -336,3 +352,12 @@ class PhysicalMemory:
 
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+def differing_words(base: int, before: bytes, after: bytes) -> List[int]:
+    """Addresses of the words at which two ``region_bytes`` fingerprints
+    of the span at ``base`` differ, ascending.  Only failure messages
+    need this detail; comparisons themselves use ``==``."""
+    old = memoryview(before).cast(_TYPECODE)
+    new = memoryview(after).cast(_TYPECODE)
+    return [base + (i << 2) for i, (a, b) in enumerate(zip(old, new)) if a != b]

@@ -22,12 +22,11 @@ passes through.
 from __future__ import annotations
 
 import hashlib
-from array import array
 from typing import TYPE_CHECKING, List
 
 from repro.arm.bits import WORDSIZE
 from repro.arm.machine import MachineState
-from repro.arm.memory import WORDS_PER_PAGE, _TYPECODE
+from repro.arm.memory import PAGE_SIZE
 from repro.arm.modes import World
 from repro.arm.pagetable import (
     DESC_INVALID,
@@ -63,15 +62,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def secure_state_digest(state: MachineState) -> str:
     """SHA-256 over all OS-inaccessible memory (image, stack, secure).
 
-    Registers and caches are volatile (a reset loses them anyway), so
-    two states with equal digests are indistinguishable to the OS and
-    to any future monitor call.
+    Hashes each region's ``region_bytes`` fingerprint (plaintext on
+    ``EncryptedMemory``).  Registers and caches are volatile (a reset
+    loses them anyway), so two states with equal digests are
+    indistinguishable to the OS and to any future monitor call.
     """
     digest = hashlib.sha256()
     memmap = state.memmap
     for region in (memmap.monitor_image, memmap.monitor_stack, memmap.secure):
-        words = state.memory.read_words(region.base, region.size // WORDSIZE)
-        digest.update(array(_TYPECODE, words).tobytes())
+        digest.update(state.memory.region_bytes(region.base, region.size))
     return digest.hexdigest()
 
 
@@ -88,10 +87,8 @@ def machine_consistency(state: MachineState) -> List[str]:
         problems.append("a monitor transaction is still attached")
     if journal.is_present(state):
         problems.append("commit journal is not quiescent")
-    journal_words = memory.read_words(
-        journal.journal_base(state), journal.JOURNAL_SIZE // WORDSIZE
-    )
-    if any(journal_words):
+    residue = memory.region_bytes(journal.journal_base(state), journal.JOURNAL_SIZE)
+    if residue != bytes(journal.JOURNAL_SIZE):
         problems.append("journal region holds residue")
 
     # -- PageDB entry sanity --------------------------------------------
@@ -233,7 +230,8 @@ def machine_consistency(state: MachineState) -> List[str]:
     # -- free pages must be scrubbed ------------------------------------
     for pageno, page_type in types.items():
         if page_type is PageType.FREE:
-            if any(memory.read_words(memmap.page_base(pageno), WORDS_PER_PAGE)):
+            contents = memory.region_bytes(memmap.page_base(pageno), PAGE_SIZE)
+            if contents != bytes(PAGE_SIZE):
                 problems.append(f"free page {pageno} is not scrubbed")
             if owners.get(pageno, 0) != 0:
                 problems.append(f"free page {pageno} has a stale owner word")

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.arm.machine import MachineState
+from repro.arm.memory import differing_words
 from repro.arm.modes import Mode
 from repro.spec.pagedb import (
     AbsAddrspace,
@@ -156,14 +157,11 @@ def adv_set_equivalent(
         if s1.regs.read_gpr(i) != s2.regs.read_gpr(i):
             log.append(f"r{i} differs: {s1.regs.read_gpr(i):#x} vs {s2.regs.read_gpr(i):#x}")
     _banked_regs_equal(s1, s2, log)
-    ins1 = s1.memory.snapshot_region(s1.memmap.insecure)
-    ins2 = s2.memory.snapshot_region(s2.memmap.insecure)
+    insecure = s1.memmap.insecure
+    ins1 = s1.memory.region_bytes(insecure.base, insecure.size)
+    ins2 = s2.memory.region_bytes(insecure.base, insecure.size)
     if ins1 != ins2:
-        differing = sorted(
-            addr
-            for addr in set(ins1) | set(ins2)
-            if ins1.get(addr, 0) != ins2.get(addr, 0)
-        )
+        differing = differing_words(insecure.base, ins1, ins2)
         log.append(f"insecure memory differs at {[hex(a) for a in differing[:4]]}")
     return not log
 

@@ -30,7 +30,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.symbex.explore import driver_names, explore_smc, get_driver
-from repro.analysis.symbex.replay import DEFAULT_ENGINES, ReplayHarness
+from repro.analysis.symbex.replay import DEFAULT_ENGINES
 from repro.analysis.symbex.scenario import PROG_VA, default_program, svc_probe_program
 from repro.analysis.symbex.witness import build_witnesses, save_corpus
 from repro.faults.parallel import check_witnesses_sharded, usable_jobs
@@ -226,14 +226,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.check and args.engine != "none":
         engines = DEFAULT_ENGINES if args.engine == "all" else (args.engine,)
-        jobs = usable_jobs(args.jobs)
-        if jobs > 1:
-            failures = check_witnesses_sharded(
-                witnesses, jobs, engines=engines, trial_timeout=args.timeout
-            )
-        else:
-            harness = ReplayHarness(engines=engines)
-            failures = harness.check(witnesses, trial_timeout=args.timeout)
+        failures = check_witnesses_sharded(
+            witnesses,
+            usable_jobs(args.jobs),
+            engines=engines,
+            trial_timeout=args.timeout,
+        )
         if failures:
             print(f"pathexp: FAIL: {len(failures)} witness replay failure(s):")
             for failure in failures[:25]:

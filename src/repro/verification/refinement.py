@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Tuple
 
-from repro.arm.memory import WORDS_PER_PAGE
+from repro.arm.memory import WORDS_PER_PAGE, differing_words
 from repro.arm.modes import Mode, World
 from repro.crypto.sha256 import SHA256
 from repro.monitor.errors import KomErr
@@ -96,11 +96,11 @@ class CheckedMonitor:
         for i, arg in enumerate(padded[:4]):
             regs.write_gpr(i + 1, arg)
         pre_regs = {i: regs.read_gpr(i) for i in range(4, 12)}
-        pre_insecure = self.monitor.state.memory.snapshot_region(
-            self.monitor.state.memmap.insecure
-        )
         pre_mode = self.monitor.state.regs.cpsr.mode
         executes = callno in (SMC.ENTER, SMC.RESUME)
+        # Enclave execution may write insecure memory; only
+        # non-executing calls are framed by it.
+        pre_insecure = None if executes else self._insecure_fingerprint()
 
         err, value = self.monitor.smc(callno, *args)
 
@@ -204,12 +204,19 @@ class CheckedMonitor:
         if self.monitor.state.world is not World.NORMAL:
             raise RefinementError("SMC returned in the wrong world")
 
-    def _check_insecure_invariant(self, pre_snapshot) -> None:
-        post = self.monitor.state.memory.snapshot_region(
-            self.monitor.state.memmap.insecure
-        )
-        if post != pre_snapshot:
-            raise RefinementError("non-executing SMC modified insecure memory")
+    def _insecure_fingerprint(self) -> bytes:
+        insecure = self.monitor.state.memmap.insecure
+        return self.monitor.state.memory.region_bytes(insecure.base, insecure.size)
+
+    def _check_insecure_invariant(self, pre_insecure: bytes) -> None:
+        post = self._insecure_fingerprint()
+        if post != pre_insecure:
+            base = self.monitor.state.memmap.insecure.base
+            differing = differing_words(base, pre_insecure, post)
+            raise RefinementError(
+                "non-executing SMC modified insecure memory at "
+                f"{[hex(a) for a in differing[:4]]}"
+            )
 
     # -- Enter/Resume containment ------------------------------------------------
 

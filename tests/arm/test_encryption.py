@@ -1,11 +1,18 @@
 """Memory encryption engine: the physical-attack threat variant."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.arm.encryption import EncryptedMemory, IntegrityViolation
 from repro.arm.memory import MemoryMap, PhysicalMemory
 from repro.crypto.rng import HardwareRNG
 from repro.monitor.komodo import KomodoMonitor
+from tests.arm.test_memory import (
+    assert_region_bytes_matches_read_words,
+    spans_and_stores,
+)
+
+_MAP = MemoryMap(secure_pages=8)
 
 
 @pytest.fixture
@@ -93,6 +100,22 @@ class TestPhysicalAttacker:
         plain.write_word(address, 0x5EC12E7)
         # The "physical" view of plain memory is the memory itself.
         assert plain.read_word(address) == 0x5EC12E7
+
+
+class TestRegionBytes:
+    @settings(max_examples=50)
+    @given(spans_and_stores(_MAP))
+    def test_equals_packed_plaintext_read_words(self, case):
+        memory = EncryptedMemory(_MAP, device_key=0xABCD)
+        assert_region_bytes_matches_read_words(memory, *case)
+
+    def test_tampered_secure_word_raises(self, env):
+        memmap, memory = env
+        address = memmap.page_base(2) + 12
+        memory.write_word(address, 5)
+        memory.physical_write(address, memory.physical_read(address) ^ 1)
+        with pytest.raises(IntegrityViolation):
+            memory.region_bytes(memmap.secure.base, memmap.secure.size)
 
 
 class TestMonitorOnEncryptedMemory:

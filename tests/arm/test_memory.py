@@ -1,16 +1,20 @@
 """Physical memory: map layout, word access, world protection."""
 
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arm.memory import (
+    _TYPECODE,
     PAGE_SIZE,
     WORDS_PER_PAGE,
     MemoryFault,
     MemoryMap,
     PhysicalMemory,
     Region,
+    differing_words,
 )
 from repro.arm.modes import World
 
@@ -163,3 +167,91 @@ class TestBulkOps:
         memory.write_word(memmap.insecure.base + 4, 0)  # zero: not in snapshot
         snapshot = memory.snapshot_region(memmap.insecure)
         assert snapshot == {memmap.insecure.base: 5}
+
+
+def _near_boundary(draw, memmap, min_words, max_words):
+    """A word-aligned in-range span of ``min_words`` to ``max_words``
+    words that starts near a region boundary, so spans straddle
+    regions."""
+    lo = memmap.monitor_image.base
+    hi = memmap.insecure.limit
+    anchors = [region.base for region in memmap.regions()] + [hi]
+    count = draw(st.integers(min_words, max_words))
+    anchor = draw(st.sampled_from(anchors))
+    start = anchor + 4 * draw(st.integers(-max_words, max_words))
+    return max(lo, min(start, hi - 4 * count)), count
+
+
+@st.composite
+def spans_and_stores(draw, memmap):
+    """``(address, count, stores)``: a span to fingerprint and the
+    ``(address, value)`` word stores to apply first."""
+    address, count = _near_boundary(draw, memmap, 0, 96)
+    stores = []
+    for _ in range(draw(st.integers(0, 12))):
+        store_at, _ = _near_boundary(draw, memmap, 1, 96)
+        stores.append((store_at, draw(st.integers(0, 0xFFFFFFFF))))
+    return address, count, stores
+
+
+def assert_region_bytes_matches_read_words(memory, address, count, stores):
+    for store_at, value in stores:
+        memory.write_word(store_at, value)
+    expected = array(_TYPECODE, memory.read_words(address, count)).tobytes()
+    assert memory.region_bytes(address, count * 4) == expected
+
+
+_MAP = MemoryMap(secure_pages=8)
+
+
+class TestRegionBytes:
+    @given(spans_and_stores(_MAP))
+    def test_equals_packed_read_words(self, case):
+        assert_region_bytes_matches_read_words(PhysicalMemory(_MAP), *case)
+
+    def test_is_a_copy_not_a_live_view(self, memory, memmap):
+        insecure = memmap.insecure
+        before = memory.region_bytes(insecure.base, insecure.size)
+        memory.write_word(insecure.base + 8, 7)
+        assert before == bytes(insecure.size)
+        after = memory.region_bytes(insecure.base, insecure.size)
+        assert after != before
+        assert differing_words(insecure.base, before, after) == [insecure.base + 8]
+
+    def test_touches_no_counters_or_dirty_tracking(self, memory, memmap):
+        memory.write_word(memmap.page_base(1), 3)
+        memory.write_word(memmap.insecure.base, 4)
+        memory._snap_token = 5
+        before = (
+            memory.read_ops,
+            memory.write_ops,
+            memory.generation,
+            set(memory._dirty),
+            memory._snap_token,
+        )
+        for region in memmap.regions():
+            memory.region_bytes(region.base, region.size)
+        assert (
+            memory.read_ops,
+            memory.write_ops,
+            memory.generation,
+            memory._dirty,
+            memory._snap_token,
+        ) == before
+
+    @pytest.mark.parametrize(
+        "delta, size",
+        [
+            (2, 8),  # misaligned base
+            (-4, 8),  # starts below the first region
+            (0, 6),  # not whole words
+            (0, -4),  # negative size
+        ],
+    )
+    def test_faults_on_bad_span(self, memory, memmap, delta, size):
+        with pytest.raises(MemoryFault):
+            memory.region_bytes(memmap.monitor_image.base + delta, size)
+
+    def test_faults_past_the_end(self, memory, memmap):
+        with pytest.raises(MemoryFault):
+            memory.region_bytes(memmap.insecure.limit - 4, 8)

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.faults import parallel
 from repro.tools import pathexp
 
 
@@ -26,12 +27,17 @@ def test_bad_input_is_a_usage_error(argv, capsys, monkeypatch):
 
 
 def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, capsys):
-    """On a one-CPU host ``--jobs 4`` replays serially, in process."""
-
-    def no_shards(*args, **kwargs):
-        raise AssertionError("a one-CPU host must not fork replay shards")
-
+    """On a one-CPU host ``--jobs 4`` replays serially, in process: one
+    shard, which ``run_shards`` runs inline."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(pathexp, "check_witnesses_sharded", no_shards)
+    asked = []
+    run_shards = parallel.run_shards
+
+    def recording(fn, jobs):
+        asked.append(jobs)
+        return run_shards(fn, jobs)
+
+    monkeypatch.setattr(parallel, "run_shards", recording)
     assert pathexp.main(["--smc", "get_physpages", "--check", "--jobs", "4"]) == 0
+    assert asked == [1]
     assert "replayed cleanly on turbo" in capsys.readouterr().out

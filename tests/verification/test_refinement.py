@@ -96,6 +96,21 @@ class TestDetectsDivergence:
         with pytest.raises(RefinementError):
             checked.smc(SMC.GET_PHYSPAGES)
 
+    def test_detects_insecure_write_by_non_executing_smc(self, checked):
+        """The smchandler frame condition: a non-executing SMC leaves
+        insecure memory unchanged, and the error names the word."""
+        inner = checked.monitor.smc
+        target = checked.state.memmap.insecure.base + 0x2468
+
+        def leaky_smc(callno, *args):
+            result = inner(callno, *args)
+            checked.state.memory.write_word(target, 0xBAD)
+            return result
+
+        checked.monitor.smc = leaky_smc
+        with pytest.raises(RefinementError, match=rf"\['{target:#x}'\]"):
+            checked.smc(SMC.INIT_ADDRSPACE, 0, 1)
+
 
 # ---------------------------------------------------------------------------
 # Random hostile traces
