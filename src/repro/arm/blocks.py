@@ -82,10 +82,22 @@ Invalidation reuses the fast engine's machinery:
   loop refetches through the live page tables, faulting where the
   reference engine would).
 
-The block cache lives in ``MachineState.uarch.bcache`` (never shared by
-snapshots) and is bounded by ``BLOCK_CACHE_CAP`` with LRU eviction;
-eviction and invalidation tear down every chain link into and out of
-the dead entry (``unlink``) so no dangling chain can resurrect it.
+The block cache lives in ``MachineState.uarch.bcache`` (never captured
+by snapshots, emptied by every restore) and is bounded by
+``BLOCK_CACHE_CAP`` with LRU eviction; eviction and invalidation tear
+down every chain link into and out of the dead entry (``unlink``) so no
+dangling chain can resurrect it.
+
+Under the block cache's miss path sits a per-machine compile memo,
+``uarch.compiled`` (``_compiled``), which restores keep.  It maps the
+content a region's generated source and namespace depend on — entry
+address, traced variant, validation-span offset and words, member
+layout — to the compiled function, so a restored machine running the
+same code again still discovers, revalidates and chains it, and skips
+only ``compile()``.  Rewritten or recycled code is a different key.  A
+function that bakes the inline memory path is served only to the
+machine whose memory it baked (a deep copy's memo holds the donor's
+functions).
 """
 
 from __future__ import annotations
@@ -769,14 +781,55 @@ def unlink(entry: list) -> None:
     entry[_CHAIN].clear()
 
 
+def _compiled(
+    cpu,
+    region: List[Tuple[int, List[Instruction]]],
+    paddr: int,
+    words: List[int],
+    woff: int,
+    traced: bool,
+) -> Callable:
+    """``compile_region`` behind the machine's compile memo
+    (``uarch.compiled``), which survives ``UArchState.reset``.
+
+    The key holds everything the generated source and namespace depend
+    on: ``paddr`` (the ``<block@…>`` name, ``ppage``, hop offsets),
+    ``traced``, the validation span's offset and words, and the member
+    layout; the members' instructions are decoded from those words.  A
+    hit is served only if the inline memory its function baked (if any)
+    is this machine's current inline memory: a deep copy's memo holds
+    functions whose globals point at the donor's memory.
+    """
+    mem = _inline_mem(cpu)
+    key = (
+        paddr,
+        traced,
+        woff,
+        tuple(words),
+        tuple((off, len(instrs)) for off, instrs in region),
+    )
+    memo = cpu.state.uarch.compiled
+    fn = memo.get(key)
+    if fn is not None:
+        baked = fn.__globals__.get("_mem")
+        if baked is None or baked is mem:
+            return fn
+        del memo[key]
+    fn = compile_region(region, paddr, traced=traced, mem=mem)
+    if len(memo) >= BLOCK_CACHE_CAP:
+        del memo[next(iter(memo))]
+    memo[key] = fn
+    return fn
+
+
 def _compile_traced(cpu, paddr: int) -> Callable:
     """Lazily build the traced variant of a just-validated entry.
 
     The entry was (re)validated against the current generation, so
     re-discovery sees exactly the words it was compiled from.
     """
-    region, _, _ = discover_region(cpu.state.memory, paddr)
-    return compile_region(region, paddr, traced=True, mem=_inline_mem(cpu))
+    region, words, woff = discover_region(cpu.state.memory, paddr)
+    return _compiled(cpu, region, paddr, words, woff, True)
 
 
 def lookup(cpu, paddr: int, traced: bool = False) -> Optional[list]:
@@ -820,9 +873,8 @@ def lookup(cpu, paddr: int, traced: bool = False) -> Optional[list]:
     region, words, woff = discover_region(memory, paddr)
     if not region:
         return None
-    mem = _inline_mem(cpu)
-    fn = compile_region(region, paddr, mem=mem)
-    fnt = compile_region(region, paddr, traced=True, mem=mem) if traced else None
+    fn = _compiled(cpu, region, paddr, words, woff, False)
+    fnt = _compiled(cpu, region, paddr, words, woff, True) if traced else None
     if len(bcache) >= BLOCK_CACHE_CAP:
         unlink(bcache.pop(next(iter(bcache))))
     entry = [memory.generation, words, fn, len(region[0][1]), {}, [], fnt, woff]

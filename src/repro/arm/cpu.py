@@ -22,14 +22,17 @@ engine" and "Turbo engine"):
   microarchitectural caches on top: a decoded-instruction cache keyed by
   physical address and validated against ``PhysicalMemory.generation``,
   and a micro-TLB keyed by virtual page and validated against
-  ``TLB.version``.  Both live in ``MachineState.uarch`` so snapshots
-  never share them.
+  ``TLB.version``.  Both live in ``MachineState.uarch``: snapshots
+  never capture them, and every restore starts them cold.
 
 * ``CPU(state, engine="turbo")`` — compiles straight-line basic blocks
   into single Python functions (``arm.blocks``) and dispatches whole
   blocks, with one interrupt-window check and one cycle-accounting
   flush per block; it inherits the fast engine's caches for its
   single-step fallback and reuses the same invalidation contracts.
+  Its block cache and chain links start cold after a restore too; only
+  the content-keyed compile memo under them (``uarch.compiled``) is
+  kept, so unchanged code skips ``compile()`` but nothing else.
 
 The default tier is ``fast`` (``DEFAULT_ENGINE``); ``CPU(engine=...)``
 and ``KomodoMonitor(cpu_engine=...)`` select another.  The engines

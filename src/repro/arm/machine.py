@@ -71,8 +71,19 @@ class UArchState:
     instructions and compiled basic blocks (keyed by physical address,
     validated against ``PhysicalMemory.generation``) and translations
     (keyed by virtual page, validated against ``TLB.version``).  A
-    snapshot never captures this state — ``restore`` resets it, so a
-    restored machine warms its own caches.
+    snapshot never captures this state.  ``reset`` (run by ``restore``
+    and by ``KomodoMonitor.recover``) empties every validated cache:
+    decode cache, micro-TLB, block cache, code pages and chain links.
+    A restored machine then discovers, revalidates and chains its code
+    exactly as a cold one does.
+
+    One table survives ``reset``: ``compiled``, the turbo compiler's
+    content-keyed memo (``blocks._compiled``).  Its key is everything a
+    compiled region's source depends on, the exact source words
+    included, so restored memory holding the same code skips only the
+    ``compile()`` step and different words compile afresh.  A deep copy
+    starts with cold validated caches and a copy of the memo; a memo
+    hit whose function baked another machine's memory is refused.
     """
 
     __slots__ = (
@@ -83,10 +94,21 @@ class UArchState:
         "code_pages",
         "chain_gen",
         "chain_memgen",
+        "compiled",
     )
 
     def __init__(self) -> None:
+        #: Content key -> compiled region function, bounded by
+        #: ``blocks.BLOCK_CACHE_CAP`` (oldest evicted); kept by ``reset``.
+        self.compiled = {}
         self.reset()
+
+    def __deepcopy__(self, memo) -> "UArchState":
+        # Block-cache functions bake the donor's memory into their
+        # globals, so a copy must never dispatch them: it starts cold.
+        dup = UArchState()
+        dup.compiled = dict(self.compiled)
+        return dup
 
     def reset(self) -> None:
         self.icache = {}
@@ -287,10 +309,13 @@ class MachineState:
         Physical memory is restored by slice assignment (object identity
         is preserved, so the page-table walker and TLB keep watching the
         same store), registers and the TLB are replaced by fresh copies
-        of the checkpoint, and the microarchitectural caches are reset —
-        exactly the cold-cache state a deep copy would start from, so
+        of the checkpoint, and the validated microarchitectural caches
+        are reset — the cold-cache state a deep copy starts from, so
         snapshot-accelerated campaigns are bit-identical to re-execution.
-        A snapshot can be restored any number of times.
+        Only the turbo compile memo (``uarch.compiled``) is kept: it is
+        keyed by the exact code words, so it can serve a function only
+        for code the restored memory still holds.  A snapshot can be
+        restored any number of times.
 
         When ``snap`` is the snapshot the memory's dirty-page set is
         anchored to, only the dirtied pages are copied back —

@@ -77,6 +77,11 @@ _SLICE = 4096
 #: typed instead of spinning.
 _PIPELINE_ROUNDS = 64
 
+#: LRU bound on memoised golden responses (``EnclaveTemplate.expected``).
+#: An evicted golden is recomputed on its next use, from the same
+#: snapshot, so eviction never changes an answer.
+GOLDEN_CAP = 1024
+
 
 def _vault_body(ctx, op: int, arg2: int, arg3: int):
     """The vault enclave: attest, seal, unseal-roundtrip, spin."""
@@ -203,12 +208,16 @@ class EnclaveTemplate:
         )
 
     def expected(self, request: CloudRequest) -> CloudResponse:
-        """The golden response — memoised, computed in-process."""
+        """The golden response — computed in-process and memoised, the
+        ``GOLDEN_CAP`` most recently used keys at most."""
         with self._lock:
-            response = self._expected.get(request.key)
+            goldens = self._expected
+            response = goldens.pop(request.key, None)
             if response is None:
                 response = self._execute_locked(request, None, None)
-                self._expected[request.key] = response
+                if len(goldens) >= GOLDEN_CAP:
+                    del goldens[next(iter(goldens))]
+            goldens[request.key] = response
             return response
 
     def count_ops(self, request: CloudRequest) -> int:

@@ -8,9 +8,12 @@ Three caches, three contracts:
 * micro-TLB — validated against ``TLB.version``, which the architectural
   model bumps on every flush, ``set_ttbr``, and poisoning ``note_store``,
   so translations never outlive what the architecture permits;
-* both live in ``MachineState.uarch``, which ``MachineState.restore``
-  resets, so a restored machine never reuses its donor's caches (the
-  fork itself is checked in ``tests/faults/test_snapshot.py``).
+* both live in ``MachineState.uarch``, whose validated caches
+  ``MachineState.restore`` resets, so a restored machine never reuses
+  its donor's caches (the fork itself is checked in
+  ``tests/faults/test_snapshot.py``).  The one table a restore keeps,
+  turbo's content-keyed compile memo, holds no decoded or translated
+  state of its own; it is pinned in ``tests/arm/test_turbo_memo.py``.
 """
 
 import pytest

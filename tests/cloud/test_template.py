@@ -11,6 +11,7 @@ from repro.cloud.api import (
     CloudRequest,
     DeadlineExceeded,
 )
+from repro.cloud import template as template_module
 from repro.cloud.template import EnclaveTemplate
 
 
@@ -42,6 +43,29 @@ class TestExecution:
         golden = template.expected(request)
         assert template.expected(request) is golden  # cached object
         assert template.execute(request).digest() == golden.digest()
+
+    def test_golden_memo_is_a_bounded_lru(self, template, monkeypatch):
+        """More distinct keys than ``GOLDEN_CAP``: the memo never grows
+        past the bound, keeps the most recently used goldens, and an
+        evicted golden is recomputed to the same answer."""
+        monkeypatch.setattr(template_module, "GOLDEN_CAP", 4)
+        monkeypatch.setattr(template, "_expected", {})
+        payload = (0xDEADBEEF, 0x12345678)
+        requests = [
+            CloudRequest(kind="checksum", payload=payload + (i,), nonce=i)
+            for i in range(10)
+        ]
+        goldens = []
+        for request in requests:
+            goldens.append(template.expected(request))
+            assert len(template._expected) <= 4
+            assert template.expected(requests[0]) is not None  # keep 0 hot
+        assert requests[0].key in template._expected
+        assert requests[1].key not in template._expected
+        for request, golden in zip(requests, goldens):
+            assert golden.digest() == template.execute(request).digest()
+            assert template.expected(request).digest() == golden.digest()
+            assert len(template._expected) <= 4
 
     def test_unseal_roundtrips_the_payload(self, template):
         request = request_for("unseal")

@@ -6,6 +6,7 @@ from repro.faults.audit import audit_monitor, secure_state_digest
 from repro.faults.injector import FaultInjected, FaultPlan, inject
 from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
+from repro.osmodel.kernel import OSKernel
 from repro.monitor.layout import SMC
 
 
@@ -108,3 +109,30 @@ class TestCrashRecoverScenario:
             assert report.journal in ("clean", "discarded", "replayed")
             assert audit_monitor(trial) == []
             assert secure_state_digest(trial.state) in (pre, post)
+
+    def test_every_abort_point_of_enter_recovers_on_turbo(self):
+        """The same crash loop over deep copies of a turbo monitor whose
+        compile memo is warm (each copy's memo holds functions baked for
+        the donor's memory): every trial recovers to an audited state
+        and no trial's enclave stores reach the donor."""
+        import copy
+
+        from tests.faults.test_snapshot import build_counter_enclave
+
+        monitor = KomodoMonitor(secure_pages=16, cpu_engine="turbo")
+        enclave = build_counter_enclave(OSKernel(monitor))
+        assert enclave.enter() == (KomErr.SUCCESS, 1)
+        assert monitor.state.uarch.compiled
+        donor_bytes = bytes(monitor.state.memory._buf)
+        probe, probe_enclave = copy.deepcopy((monitor, enclave))
+        count_plan = FaultPlan()
+        with inject(probe.state, count_plan):
+            assert probe_enclave.enter() == (KomErr.SUCCESS, 2)
+        for abort_at in range(1, count_plan.count + 1):
+            trial, trial_enclave = copy.deepcopy((monitor, enclave))
+            with inject(trial.state, FaultPlan(abort_at=abort_at)):
+                with pytest.raises(FaultInjected):
+                    trial_enclave.enter()
+            trial.recover()
+            assert audit_monitor(trial) == []
+        assert bytes(monitor.state.memory._buf) == donor_bytes

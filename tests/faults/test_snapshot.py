@@ -17,6 +17,7 @@ from repro.arm.machine import MachineState
 from repro.faults.audit import secure_state_digest
 from repro.faults.bitflip import BitflipCampaign
 from repro.faults.snapshot import CampaignSnapshot
+from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
 from repro.monitor.layout import SMC, SVC
 from repro.osmodel.kernel import OSKernel
@@ -119,6 +120,30 @@ def run_workload(monitor, kernel):
     return enclave.enter()
 
 
+def build_counter_enclave(kernel):
+    """An enclave whose every entry loads, bumps and stores a counter in
+    its data page and returns it: turbo compiles it with inline stores."""
+    from repro.arm.assembler import Assembler
+    from repro.sdk.builder import CODE_VA as SDK_CODE_VA
+    from repro.sdk.builder import DATA_VA as SDK_DATA_VA
+    from repro.sdk.builder import EnclaveBuilder
+
+    asm = Assembler()
+    asm.mov32("r4", SDK_DATA_VA)
+    asm.ldr("r0", "r4", 0)
+    asm.addi("r0", "r0", 1)
+    asm.str_("r0", "r4", 0)
+    asm.str_("r0", "r4", 4)
+    asm.svc(SVC.EXIT)
+    return (
+        EnclaveBuilder(kernel)
+        .add_code(asm)
+        .add_data([0] * 8)
+        .add_thread(SDK_CODE_VA)
+        .build()
+    )
+
+
 def pair_observables(monitor, kernel):
     return (
         secure_state_digest(monitor.state),
@@ -164,6 +189,33 @@ class TestCampaignSnapshot:
 
         run_workload(monitor, kernel)
         assert pair_observables(monitor, kernel) == deep_after
+
+    def test_deepcopy_fork_with_a_warm_compile_memo(self):
+        """The same fork on turbo, with the compile memo warm when the
+        copy is taken: ``uarch.reset`` keeps the memo, so the copy holds
+        functions baked for the donor's memory.  Re-entering the enclave
+        on the copy must store into the copy only, and land where the
+        live pair and its restores do."""
+        monitor = KomodoMonitor(secure_pages=16, cpu_engine="turbo")
+        kernel = OSKernel(monitor)
+        enclave = build_counter_enclave(kernel)
+        assert enclave.enter() == (KomErr.SUCCESS, 1)
+
+        monitor.state.uarch.reset()
+        assert monitor.state.uarch.compiled
+        donor_bytes = bytes(monitor.state.memory._buf)
+        deep_monitor, deep_kernel, deep_enclave = copy.deepcopy(
+            (monitor, kernel, enclave)
+        )
+        checkpoint = CampaignSnapshot(monitor, kernel)
+
+        assert deep_enclave.enter() == (KomErr.SUCCESS, 2)
+        assert bytes(monitor.state.memory._buf) == donor_bytes
+        deep_after = pair_observables(deep_monitor, deep_kernel)
+        for _ in range(2):
+            assert enclave.enter() == (KomErr.SUCCESS, 2)
+            assert pair_observables(monitor, kernel) == deep_after
+            checkpoint.restore()
 
     def test_restore_rewinds_rng_position(self):
         monitor, kernel = self.fresh_pair()
