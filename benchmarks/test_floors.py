@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import repro.arm.memory as memory_mod
 from repro.apps.isa_workloads import CODE_VA, WORKLOADS, stage
 from repro.arm.cpu import CPU, ExitReason
 from repro.arm.machine import MachineState
@@ -57,15 +58,22 @@ def test_engine_speedup_over_reference(name):
 
 
 def restore_us(state, snap, pages, delta: bool, iterations: int = 200) -> float:
-    """Mean microseconds per (dirty ``pages`` + restore) round trip."""
+    """Mean microseconds per (dirty ``pages`` + restore) round trip, with
+    the dirty-page path (``delta``) or the full-copy oracle selected by
+    the module switch."""
     memory = state.memory
     addresses = [state.memmap.page_base(page) for page in pages]
-    start = time.perf_counter()
-    for _ in range(iterations):
-        for address in addresses:
-            memory.write_word(address, 0xD117)
-        state.restore(snap, delta=delta)
-    return (time.perf_counter() - start) / iterations * 1e6
+    saved = memory_mod.DELTA_RESTORE
+    memory_mod.DELTA_RESTORE = delta
+    try:
+        start = time.perf_counter()
+        for _ in range(iterations):
+            for address in addresses:
+                memory.write_word(address, 0xD117)
+            state.restore(snap)
+        return (time.perf_counter() - start) / iterations * 1e6
+    finally:
+        memory_mod.DELTA_RESTORE = saved
 
 
 def test_delta_restore_beats_full_copy():

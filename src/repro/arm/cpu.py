@@ -187,7 +187,6 @@ class CPU:
             self.access_trace.append(("store", vaddr))
         self.state.charge(self.state.costs.mem_access)
         self.state.memory.write_word(paddr, value)
-        self.state.tlb.note_store(paddr)
         # The physical address lets the turbo tier's compiled blocks
         # detect stores into their own span (self-modifying code).
         return paddr

@@ -28,7 +28,9 @@ from typing import Dict, Iterable, List
 from repro.arm.bits import WORDSIZE, to_word
 from repro.arm.memory import (
     _TYPECODE,
+    PAGE_SIZE,
     WORDS_PER_PAGE,
+    MemoryCheckpoint,
     MemoryFault,
     MemoryMap,
     PhysicalMemory,
@@ -94,18 +96,21 @@ class EncryptedMemory(PhysicalMemory):
             raise IntegrityViolation(address)
         return stored ^ self._pad(address)
 
-    def write_word(self, address: int, value: int) -> None:
+    def _put(self, address: int, value: int) -> None:
+        # Tags before the inherited ``write_word`` poisons: the
+        # footprint re-walk reads this word through the engine.
         if not self._protected(address):
-            super().write_word(address, value)
+            super()._put(address, value)
             return
         ciphertext = to_word(value) ^ self._pad(address)
-        super().write_word(address, ciphertext)
+        super()._put(address, ciphertext)
         self._tags[address] = self._tag(address, ciphertext)
 
     # -- bulk helpers --------------------------------------------------------
     # The base class implements these as raw slice operations on the flat
     # store; here every word must pass through the engine (per-address
-    # keystream and tags), so they go word by word through the overrides.
+    # keystream and tags), so they go word by word through ``_put`` and
+    # poison the TLB once per page at the end.
 
     def read_words(self, address: int, count: int) -> List[int]:
         return [self.read_word(address + i * WORDSIZE) for i in range(count)]
@@ -128,16 +133,27 @@ class EncryptedMemory(PhysicalMemory):
         return array(_TYPECODE, self.read_words(base, size // WORDSIZE)).tobytes()
 
     def write_words(self, address: int, values: Iterable[int]) -> None:
-        for i, value in enumerate(values):
-            self.write_word(address + i * WORDSIZE, value)
+        words = list(values)
+        for i, value in enumerate(words):
+            self._put(address + i * WORDSIZE, value)
+        self._poison(address, len(words) * WORDSIZE)
 
     def zero_page(self, base: int) -> None:
         for i in range(WORDS_PER_PAGE):
-            self.write_word(base + i * WORDSIZE, 0)
+            self._put(base + i * WORDSIZE, 0)
+        self._poison(base, PAGE_SIZE)
 
     def copy_page(self, src: int, dst: int) -> None:
         for i in range(WORDS_PER_PAGE):
-            self.write_word(dst + i * WORDSIZE, self.read_word(src + i * WORDSIZE))
+            self._put(dst + i * WORDSIZE, self.read_word(src + i * WORDSIZE))
+        self._poison(dst, PAGE_SIZE)
+
+    def checkpoint(self) -> MemoryCheckpoint:
+        return super().checkpoint()._replace(engine=dict(self._tags))
+
+    def rewind(self, cp: MemoryCheckpoint) -> None:
+        super().rewind(cp)
+        self._tags = dict(cp.engine)
 
     # -- the physical attacker's interface ----------------------------------
 
@@ -147,12 +163,13 @@ class EncryptedMemory(PhysicalMemory):
 
     def physical_write(self, address: int, value: int) -> None:
         """Bus tamper: overwrite raw RAM, bypassing the engine.  The
-        forgery is caught at the next CPU read of the word."""
-        super().write_word(address, value)
+        forgery is caught at the next CPU read of the word.  Not a CPU
+        store, so it poisons no TLB."""
+        super()._put(address, value)
 
     def physical_move(self, src: int, dst: int) -> None:
         """Splicing attack: relocate ciphertext+tag to another address.
         Address-bound tags make the relocated word unreadable."""
-        super().write_word(dst, super().read_word(src))
+        super()._put(dst, super().read_word(src))
         if src in self._tags:
             self._tags[dst] = self._tags[src]

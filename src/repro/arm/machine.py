@@ -18,31 +18,21 @@ Two hooks support the crash-consistency subsystem (``repro.faults``):
   hitting physical memory; monitor reads merge the buffered view.  The
   cycle cost of a buffered store is charged at record time, so the cost
   model is unchanged from the eager-write monitor.
+
+Stores need no TLB bookkeeping here: ``PhysicalMemory`` poisons the TLB
+itself, and snapshots delegate to its ``checkpoint``/``rewind``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.arm.costs import CostModel
-from repro.arm.memory import PAGE_SIZE, MemoryMap, PhysicalMemory
+from repro.arm.memory import MemoryCheckpoint, MemoryMap, PhysicalMemory
 from repro.arm.modes import Mode, World
 from repro.arm.registers import PSR, RegisterFile
 from repro.arm.tlb import TLB
-
-#: Process-wide snapshot token source.  Each ``MachineState.snapshot``
-#: draws a fresh token and anchors the memory's dirty-page set to it;
-#: ``restore`` may take the O(dirty-pages) delta path only when the
-#: snapshot's token is still the memory's anchor.  Token 0 never issues,
-#: so a never-snapshotted memory (``_snap_token == 0``) never matches.
-_SNAP_TOKENS = itertools.count(1)
-
-#: Default restore path.  Tests set it False to force every restore
-#: down the full-buffer path — the equivalence oracle the delta path is
-#: pinned against.
-DELTA_RESTORE = True
 
 
 class FaultInjected(Exception):
@@ -215,7 +205,6 @@ class MachineState:
             self.txn.record_write(address, value)
             return
         self.memory.write_word(address, value)
-        self.tlb.note_store(address)
 
     def mon_zero_page(self, base: int) -> None:
         self.charge(self.costs.page_zero)
@@ -224,9 +213,6 @@ class MachineState:
             self.txn.record_zero(base)
             return
         self.memory.zero_page(base)
-        # Zeroing a page that holds a live page table must poison the
-        # TLB exactly like a word store would; one probe covers the page.
-        self.tlb.note_store(base)
 
     def mon_copy_page(self, src: int, dst: int) -> None:
         self.charge(self.costs.page_copy)
@@ -235,7 +221,6 @@ class MachineState:
             self.txn.record_copy_page(self.memory, src, dst)
             return
         self.memory.copy_page(src, dst)
-        self.tlb.note_store(dst)
 
     # -- fault injection (corruption) ---------------------------------------
 
@@ -259,7 +244,6 @@ class MachineState:
         finally:
             memory.read_ops = saved_reads
             memory.write_ops = saved_writes
-        self.tlb.note_store(address)
         return value
 
     # -- snapshots -----------------------------------------------------------
@@ -278,78 +262,28 @@ class MachineState:
         """
         if self.txn is not None:
             raise ValueError("cannot snapshot with an open monitor transaction")
-        memory = self.memory
-        tags = getattr(memory, "_tags", None)  # EncryptedMemory tag store
-        # Re-anchor the dirty-page set: from here on it records exactly
-        # the pages that diverge from this checkpoint, so a restore of
-        # *this* snapshot may copy back only those pages.
-        token = next(_SNAP_TOKENS)
-        memory._snap_token = token
-        memory._dirty.clear()
         return MachineSnapshot(
-            token=token,
-            # bytes(), not a slice: slicing the memoryview-backed store
-            # would alias the live buffer instead of copying it.
-            store=bytes(memory._buf),
-            generation=memory.generation,
-            read_ops=memory.read_ops,
-            write_ops=memory.write_ops,
-            tags=dict(tags) if tags is not None else None,
-            regs=self.regs.copy(),
-            tlb=self.tlb.copy(),
-            world=self.world,
-            ttbr0=self.ttbr0,
-            pending_interrupt=self.pending_interrupt,
-            cycles=self.cycles,
+            self.memory.checkpoint(), self.regs.copy(), self.tlb.copy(),
+            self.world, self.ttbr0, self.pending_interrupt, self.cycles,
         )
 
-    def restore(self, snap: "MachineSnapshot", delta: Optional[bool] = None) -> None:
+    def restore(self, snap: "MachineSnapshot") -> None:
         """Rewind this machine, in place, to a ``snapshot()`` checkpoint.
 
-        Physical memory is restored by slice assignment (object identity
-        is preserved, so the page-table walker and TLB keep watching the
-        same store), registers and the TLB are replaced by fresh copies
-        of the checkpoint, and the validated microarchitectural caches
-        are reset — the cold-cache state a deep copy starts from, so
-        snapshot-accelerated campaigns are bit-identical to re-execution.
-        Only the turbo compile memo (``uarch.compiled``) is kept: it is
-        keyed by the exact code words, so it can serve a function only
-        for code the restored memory still holds.  A snapshot can be
-        restored any number of times.
-
-        When ``snap`` is the snapshot the memory's dirty-page set is
-        anchored to, only the dirtied pages are copied back —
-        O(dirty-pages) instead of O(memory).  Any token mismatch (an
-        older snapshot, a different machine's snapshot, a never-anchored
-        memory) falls back to the full-buffer copy and re-anchors.
-        ``delta=False`` (or ``DELTA_RESTORE = False``) forces the
-        full path — the equivalence oracle.  Either path leaves the
-        buffer byte-identical to ``snap.store``.
+        Memory rewinds itself in place; registers and the TLB become
+        fresh copies of the checkpoint, with the memory bound to that
+        live TLB; the validated microarchitectural caches are reset to
+        the cold state a deep copy starts from, so snapshot-accelerated
+        campaigns are bit-identical to re-execution.  Only the turbo
+        compile memo (``uarch.compiled``) is kept: it is keyed by the
+        exact code words.  A snapshot can be restored any number of
+        times.
         """
-        if delta is None:
-            delta = DELTA_RESTORE
         memory = self.memory
-        dirty = memory._dirty
-        if delta and snap.token == memory._snap_token and snap.token:
-            if dirty:
-                buf, store = memory._buf, snap.store
-                for page in dirty:
-                    offset = page << 12
-                    buf[offset : offset + PAGE_SIZE] = store[
-                        offset : offset + PAGE_SIZE
-                    ]
-                dirty.clear()
-        else:
-            memory._buf[:] = snap.store
-            memory._snap_token = snap.token
-            dirty.clear()
-        memory.generation = snap.generation
-        memory.read_ops = snap.read_ops
-        memory.write_ops = snap.write_ops
-        if snap.tags is not None:
-            memory._tags = dict(snap.tags)
+        memory.rewind(snap.memory)
         self.regs = snap.regs.copy()
         self.tlb = snap.tlb.copy(memory=memory)
+        memory.watch(self.tlb)
         self.world = snap.world
         self.ttbr0 = snap.ttbr0
         self.pending_interrupt = snap.pending_interrupt
@@ -359,52 +293,15 @@ class MachineState:
         self.txn = None
 
 
-class MachineSnapshot:
-    """An immutable-by-convention machine checkpoint (see
-    ``MachineState.snapshot``): the flat word store, the memory
-    engine's tag table if any, the register file, the TLB consistency
-    state, and the scalar control state.  ``memmap``/``costs`` are not
-    captured — they are constant for a machine's lifetime."""
+class MachineSnapshot(NamedTuple):
+    """A machine checkpoint (see ``MachineState.snapshot``).  ``memmap``
+    and ``costs`` are not captured: they are constant for a machine's
+    lifetime."""
 
-    __slots__ = (
-        "token",
-        "store",
-        "generation",
-        "read_ops",
-        "write_ops",
-        "tags",
-        "regs",
-        "tlb",
-        "world",
-        "ttbr0",
-        "pending_interrupt",
-        "cycles",
-    )
-
-    def __init__(
-        self,
-        token,
-        store,
-        generation,
-        read_ops,
-        write_ops,
-        tags,
-        regs,
-        tlb,
-        world,
-        ttbr0,
-        pending_interrupt,
-        cycles,
-    ):
-        self.token = token
-        self.store = store
-        self.generation = generation
-        self.read_ops = read_ops
-        self.write_ops = write_ops
-        self.tags = tags
-        self.regs = regs
-        self.tlb = tlb
-        self.world = world
-        self.ttbr0 = ttbr0
-        self.pending_interrupt = pending_interrupt
-        self.cycles = cycles
+    memory: MemoryCheckpoint
+    regs: RegisterFile
+    tlb: TLB
+    world: World
+    ttbr0: Optional[int]
+    pending_interrupt: bool
+    cycles: int

@@ -18,6 +18,11 @@ operation and the bulk page helpers — zero, copy, burst read/write,
 the zero-copy ``view_words`` window, and the ``region_bytes``
 fingerprint that memory-region comparisons and digests use — are single
 slice operations.
+This module owns what a store implies: every mutator marks the pages
+it wrote dirty, bumps ``generation`` and, on a store into a live page
+table, poisons the TLB bound by ``watch`` (paper section 5.1).  Only the
+turbo engine's inline stores (``arm/blocks.py``) repeat that check.
+``checkpoint``/``rewind`` save and restore the contents.
 ``generation`` counts every mutation; the fast-path execution engine
 uses it to invalidate its decoded-instruction cache (see DESIGN.md,
 "Fast-path engine").  ``read_ops`` and ``write_ops`` count read/write
@@ -29,9 +34,10 @@ memory-path accounting.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from copy import deepcopy as _deepcopy
-from typing import Dict, Iterable, List
+from typing import Iterable, List, NamedTuple, Optional
 
 from repro.arm.bits import WORDSIZE, word_aligned
 from repro.arm.modes import World
@@ -39,8 +45,18 @@ from repro.arm.modes import World
 PAGE_SIZE = 0x1000
 WORDS_PER_PAGE = PAGE_SIZE // WORDSIZE
 
+_PAGE_MASK = ~(PAGE_SIZE - 1)
+
 #: Typecode of a 32-bit unsigned array element on this platform.
 _TYPECODE = next(tc for tc in ("I", "L") if array(tc).itemsize == 4)
+
+#: Process-wide checkpoint tokens; 0 never issues, so a never-anchored
+#: memory matches no checkpoint.
+_SNAP_TOKENS = itertools.count(1)
+
+#: Tests set this False to force every ``rewind`` down the full-buffer
+#: path, the oracle the dirty-page path is pinned against.
+DELTA_RESTORE = True
 
 
 class MemoryFault(Exception):
@@ -193,9 +209,24 @@ class PhysicalMemory:
         #: anchor.  Mutated in place only — the turbo engine bakes this
         #: set's identity into compiled code, exactly like ``_store``.
         self._dirty: set = set()
-        #: Token of the snapshot the dirty set is relative to (0 = no
-        #: anchor).  See ``MachineState.snapshot``/``restore``.
+        #: Token of the checkpoint the dirty set is relative to (0 = no
+        #: anchor).  See ``checkpoint``/``rewind``.
         self._snap_token = 0
+        #: The TLB stores poison, and its footprint (the TLB's own set).
+        self._tlb = None
+        self._watched = frozenset()
+
+    def watch(self, tlb) -> None:
+        """Make stores into ``tlb``'s page-table footprint poison it
+        (bound by ``TLB.set_ttbr`` and ``MachineState.restore``)."""
+        self._tlb = tlb
+        self._watched = tlb._table_pages
+
+    def _poison(self, address: int, nbytes: int) -> None:
+        """Poison once per watched page ``[address, address+nbytes)`` covers."""
+        for page in range(address & _PAGE_MASK, address + nbytes, PAGE_SIZE):
+            if page in self._watched:
+                self._tlb.note_store(page)
 
     # -- raw access (no protection; used by the monitor and the loader) --
 
@@ -207,6 +238,12 @@ class PhysicalMemory:
         raise self._fault(address, "read")
 
     def write_word(self, address: int, value: int) -> None:
+        self._put(address, value)
+        if address & _PAGE_MASK in self._watched:  # no call when unwatched
+            self._tlb.note_store(address)
+
+    def _put(self, address: int, value: int) -> None:
+        """Store one word without poisoning the TLB."""
         offset = address - self._base
         if not offset & 3 and 0 <= offset < self._size:
             self._store[offset >> 2] = value & 0xFFFFFFFF
@@ -277,15 +314,7 @@ class PhysicalMemory:
             raise self._fault(address, "write")
         start = offset >> 2
         self._store[start : start + len(words)] = array(_TYPECODE, words)
-        self._dirty.update(
-            range(offset >> 12, (offset + len(words) * WORDSIZE - 1 >> 12) + 1)
-        )
-        self.generation += 1
-        self.write_ops += 1
-
-    def read_page(self, base: int) -> List[int]:
-        """Read a whole page as a list of words."""
-        return self.read_words(base, WORDS_PER_PAGE)
+        self._stored(offset, len(words) * WORDSIZE)
 
     def zero_page(self, base: int) -> None:
         """Zero-fill a whole page (one bulk byte-slice store)."""
@@ -293,11 +322,7 @@ class PhysicalMemory:
         if offset & 3 or offset < 0 or offset + PAGE_SIZE > self._size:
             raise self._fault(base, "write")
         self._buf[offset : offset + PAGE_SIZE] = _ZERO_PAGE
-        # Word alignment suffices here, so the page span may straddle
-        # two dirty pages.
-        self._dirty.update(range(offset >> 12, (offset + PAGE_SIZE - 1 >> 12) + 1))
-        self.generation += 1
-        self.write_ops += 1
+        self._stored(offset, PAGE_SIZE)
 
     def copy_page(self, src: int, dst: int) -> None:
         """Copy one page from ``src`` to ``dst`` (one bulk byte slice)."""
@@ -309,9 +334,15 @@ class PhysicalMemory:
         self._buf[offset : offset + PAGE_SIZE] = self._buf[
             src_off : src_off + PAGE_SIZE
         ]
-        self._dirty.update(range(offset >> 12, (offset + PAGE_SIZE - 1 >> 12) + 1))
+        self._stored(offset, PAGE_SIZE)
+
+    def _stored(self, offset: int, nbytes: int) -> None:
+        """Account one burst store of ``nbytes`` at ``offset``.  Word
+        alignment suffices, so a page-long span may straddle two pages."""
+        self._dirty.update(range(offset >> 12, (offset + nbytes - 1 >> 12) + 1))
         self.generation += 1
         self.write_ops += 1
+        self._poison(self._base + offset, nbytes)
 
     def region_bytes(self, base: int, size: int) -> bytes:
         """Immutable copy of the ``size`` bytes at ``base``: one slice.
@@ -327,14 +358,38 @@ class PhysicalMemory:
         offset = self._span(base, size // WORDSIZE) << 2
         return bytes(self._buf[offset : offset + size])
 
-    def snapshot_region(self, region: Region) -> Dict[int, int]:
-        """Sparse snapshot of the words stored within ``region``."""
-        start = self._span(region.base, region.size // WORDSIZE)
-        words = self._store[start : start + region.size // WORDSIZE].tolist()
-        base = region.base
-        return {
-            base + (i << 2): value for i, value in enumerate(words) if value
-        }
+    def checkpoint(self) -> "MemoryCheckpoint":
+        """Capture contents and counters, and re-anchor the dirty set: it
+        now records exactly the pages that diverge from this checkpoint."""
+        token = next(_SNAP_TOKENS)
+        self._snap_token = token
+        self._dirty.clear()
+        # bytes(), not a slice: slicing the memoryview-backed store
+        # would alias the live buffer instead of copying it.
+        return MemoryCheckpoint(
+            token, bytes(self._buf), self.generation, self.read_ops, self.write_ops
+        )
+
+    def rewind(self, cp: "MemoryCheckpoint") -> None:
+        """Restore a ``checkpoint`` in place, poisoning no TLB.
+
+        While anchored to ``cp`` only the dirty pages are copied back;
+        any other token (an older or foreign checkpoint) takes the full
+        copy and re-anchors.  Both leave the buffer equal to ``cp.store``.
+        """
+        dirty = self._dirty
+        if DELTA_RESTORE and cp.token == self._snap_token:
+            buf, store = self._buf, cp.store
+            for page in dirty:
+                offset = page << 12
+                buf[offset : offset + PAGE_SIZE] = store[offset : offset + PAGE_SIZE]
+        else:
+            self._buf[:] = cp.store
+            self._snap_token = cp.token
+        dirty.clear()
+        self.generation = cp.generation
+        self.read_ops = cp.read_ops
+        self.write_ops = cp.write_ops
 
     def __deepcopy__(self, memo):
         # The word-cast memoryview is not picklable/deep-copyable;
@@ -352,6 +407,18 @@ class PhysicalMemory:
 
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+class MemoryCheckpoint(NamedTuple):
+    """A ``PhysicalMemory.checkpoint``; ``engine`` is what a memory engine
+    keeps beside the bytes (``EncryptedMemory``'s tags)."""
+
+    token: int
+    store: bytes
+    generation: int
+    read_ops: int
+    write_ops: int
+    engine: Optional[object] = None
 
 
 def differing_words(base: int, before: bytes, after: bytes) -> List[int]:

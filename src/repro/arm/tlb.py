@@ -8,6 +8,10 @@ TLB inconsistent.  The monitor must re-establish consistency (or prove a
 store did not touch the tables) before entering an enclave; the model
 enforces the "or flush" half by requiring the flag to be set at entry.
 
+``set_ttbr`` binds the TLB to the memory, whose mutators then call
+``note_store`` for every watched page they write.  The footprint is
+memoised by L1 contents (``table_footprint``).
+
 ``version`` is the fast-path coherence hook: it is bumped by every event
 after which cached translations may no longer match a fresh page-table
 walk — a flush, a TTBR load, or a store that poisons consistency.  The
@@ -18,12 +22,27 @@ what keeps the fast path coherent.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+import functools
+from array import array
+from typing import FrozenSet, Optional, Set
 
-from repro.arm.memory import PAGE_SIZE, PhysicalMemory
+from repro.arm.memory import _PAGE_MASK, _TYPECODE, PhysicalMemory
 from repro.arm.pagetable import DESC_L1_COARSE, L1_ENTRIES, entry_target, entry_type
 
-_PAGE_MASK = ~(PAGE_SIZE - 1)
+#: Bound on distinct (L1 base, L1 contents) footprints memoised.
+FOOTPRINT_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=FOOTPRINT_MEMO_SIZE)
+def table_footprint(l1_base: int, l1_words: bytes) -> FrozenSet[int]:
+    """Page addresses of the L1 table at ``l1_base`` and of every L2
+    table its packed 32-bit entries ``l1_words`` reference (memoised,
+    bounded)."""
+    pages = {l1_base & _PAGE_MASK}
+    for entry in memoryview(l1_words).cast(_TYPECODE):
+        if entry_type(entry) == DESC_L1_COARSE:
+            pages.add(entry_target(entry))
+    return frozenset(pages)
 
 
 class TLB:
@@ -52,16 +71,19 @@ class TLB:
         self._memory = memory
         self._l1_base = l1_base
         self._recompute_footprint()
+        if memory is not None:
+            memory.watch(self)
 
     def _recompute_footprint(self) -> None:
-        self._table_pages = set()
+        pages = self._table_pages  # in place: the memory holds this set
+        pages.clear()
         memory, l1_base = self._memory, self._l1_base
         if memory is None or l1_base is None:
             return
-        self._table_pages.add(l1_base & _PAGE_MASK)
-        for entry in memory.view_words(l1_base, L1_ENTRIES):
-            if entry_type(entry) == DESC_L1_COARSE:
-                self._table_pages.add(entry_target(entry))
+        words = memory.view_words(l1_base, L1_ENTRIES)
+        if not isinstance(words, memoryview):
+            words = array(_TYPECODE, words)  # EncryptedMemory's plaintext list
+        pages.update(table_footprint(l1_base, words.tobytes()))
 
     def note_store(self, address: int) -> None:
         """Record a store; stores into the live tables poison the TLB.

@@ -162,7 +162,6 @@ def _twrite(state: MachineState, address: int, value: int) -> None:
         state.txn.record_write(address, value)
         return
     state.memory.write_word(address, value)
-    state.tlb.note_store(address)
 
 
 def _tzero(state: MachineState, base: int) -> None:
@@ -170,7 +169,6 @@ def _tzero(state: MachineState, base: int) -> None:
         state.txn.record_zero(base)
         return
     state.memory.zero_page(base)
-    state.tlb.note_store(base)
 
 
 # ---------------------------------------------------------------------------

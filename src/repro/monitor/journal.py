@@ -118,24 +118,21 @@ def apply_ops(state: MachineState, ops: Sequence[tuple]) -> None:
 
     Every entry is absolute, so applying is idempotent; each application
     is a machine-visible store and therefore an injection point.  TLB
-    consistency is poisoned exactly as the eager store would have.
+    consistency is poisoned exactly as the eager store would have (the
+    memory does that itself).
     """
     memory = state.memory
-    tlb = state.tlb
     for op in ops:
         opcode = op[0]
         if opcode == JE_WRITE:
             state.fault_point("apply", op[1])
             memory.write_word(op[1], op[2])
-            tlb.note_store(op[1])
         elif opcode == JE_ZERO:
             state.fault_point("apply", op[1])
             memory.zero_page(op[1])
-            tlb.note_store(op[1])
         elif opcode == JE_PAGE:
             state.fault_point("apply", op[1])
             memory.write_words(op[1], op[2])
-            tlb.note_store(op[1])
         else:  # pragma: no cover - decode_ops rejects unknown opcodes
             raise ValueError(f"unknown journal opcode {opcode}")
 

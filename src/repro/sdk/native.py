@@ -92,7 +92,6 @@ class NativeContext:
         paddr = self._translate(va, write=True)
         self.monitor.state.charge(self.monitor.state.costs.mem_access)
         self.monitor.state.memory.write_word(paddr, value)
-        self.monitor.state.tlb.note_store(paddr)
 
     # The bulk accessors below move a run one page chunk at a time: one
     # translation, one memory burst, and 2n mem_access in all for the n
@@ -142,7 +141,6 @@ class NativeContext:
             state.charge(access)
             state.memory.write_words(paddr, words[done : done + n])
             state.charge(2 * (n - 1) * access)
-            state.tlb.note_store(paddr)
             done += n
             va += n * WORDSIZE
 

@@ -9,7 +9,7 @@ anchor is stale, and writes issued by the turbo engine's inline-store
 fast path must mark the dirty set like every other store.
 """
 
-import repro.arm.machine as machine_mod
+import repro.arm.memory as memory_mod
 from repro.apps.isa_workloads import CODE_VA, DATA_VA, stage
 from repro.arm.assembler import Assembler
 from repro.arm.cpu import CPU, ExitReason
@@ -35,6 +35,17 @@ def observables(state):
     )
 
 
+def restore(state, snap, delta):
+    """``state.restore(snap)`` down the dirty-page path (``delta``) or
+    the full-copy oracle, selected by the module switch."""
+    saved = memory_mod.DELTA_RESTORE
+    memory_mod.DELTA_RESTORE = delta
+    try:
+        state.restore(snap)
+    finally:
+        memory_mod.DELTA_RESTORE = saved
+
+
 def scribble(state, pages=(1, 2, 5)):
     for page in pages:
         state.memory.write_word(state.memmap.page_base(page), 0xD117 + page)
@@ -49,11 +60,11 @@ class TestDeltaRestoreParity:
         before = observables(state)
 
         scribble(state)
-        state.restore(snap, delta=True)
+        restore(state, snap, True)
         assert observables(state) == before
 
         scribble(state)
-        state.restore(snap, delta=False)
+        restore(state, snap, False)
         assert observables(state) == before
 
     def test_delta_restore_is_repeatable(self):
@@ -62,7 +73,7 @@ class TestDeltaRestoreParity:
         before = observables(state)
         for round_no in range(4):
             scribble(state, pages=(round_no, round_no + 1))
-            state.restore(snap, delta=True)
+            restore(state, snap, True)
             assert observables(state) == before
 
     def test_stale_token_falls_back_to_full_copy(self):
@@ -77,23 +88,14 @@ class TestDeltaRestoreParity:
         state.snapshot()  # re-anchors the dirty set to a new token
         scribble(state, pages=(2,))
 
-        assert old_snap.token != state.memory._snap_token
-        state.restore(old_snap, delta=True)
+        assert old_snap.memory.token != state.memory._snap_token
+        restore(state, old_snap, True)
         assert observables(state) == old_before
         # ...and the memory is re-anchored to the restored snapshot, so
         # a subsequent delta restore of the same snapshot is exact too.
         scribble(state, pages=(3,))
-        state.restore(old_snap, delta=True)
+        restore(state, old_snap, True)
         assert observables(state) == old_before
-
-    def test_module_flag_and_explicit_arg_agree(self, monkeypatch):
-        state = MachineState.boot(secure_pages=8)
-        snap = state.snapshot()
-        before = observables(state)
-        monkeypatch.setattr(machine_mod, "DELTA_RESTORE", False)
-        scribble(state)
-        state.restore(snap)  # delta=None reads the module flag
-        assert observables(state) == before
 
 
 class TestTurboInlineStoreDirtyMarking:
@@ -127,8 +129,8 @@ class TestTurboInlineStoreDirtyMarking:
         # delta restore below would silently skip them.
         assert state.memory._dirty
 
-        state.restore(snap, delta=True)
-        assert bytes(state.memory._buf) == snap.store
+        restore(state, snap, True)
+        assert bytes(state.memory._buf) == snap.memory.store
 
     def test_turbo_run_then_delta_restore_matches_full(self):
         program = self.make_store_loop()
@@ -138,7 +140,7 @@ class TestTurboInlineStoreDirtyMarking:
             snap = state.snapshot()
             result = CPU(state, engine="turbo").run(CODE_VA, max_steps=100_000)
             assert result.reason is ExitReason.SVC
-            state.restore(snap, delta=delta)
+            restore(state, snap, delta)
             return observables(state)
 
         assert run_and_restore(True) == run_and_restore(False)
@@ -151,7 +153,7 @@ class TestCampaignDeltaParity:
     def test_lifecycle_campaign_identical_with_delta_off(self, monkeypatch):
         kwargs = dict(seed=0x5EED, stride=13, secure_pages=16, engine="turbo")
         on = LifecycleCampaign(**kwargs).run()
-        monkeypatch.setattr(machine_mod, "DELTA_RESTORE", False)
+        monkeypatch.setattr(memory_mod, "DELTA_RESTORE", False)
         off = LifecycleCampaign(**kwargs).run()
         assert on.ok, on.violations[:5]
         assert on == off
@@ -159,7 +161,7 @@ class TestCampaignDeltaParity:
     def test_bitflip_campaign_identical_with_delta_off(self, monkeypatch):
         kwargs = dict(stride=211, targets=["pagedb", "itag"], secure_pages=16)
         on = BitflipCampaign(**kwargs).run()
-        monkeypatch.setattr(machine_mod, "DELTA_RESTORE", False)
+        monkeypatch.setattr(memory_mod, "DELTA_RESTORE", False)
         off = BitflipCampaign(**kwargs).run()
         assert on.ok, on.violations[:5]
         assert on.total_trials > 0

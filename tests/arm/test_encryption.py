@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.arm.encryption import EncryptedMemory, IntegrityViolation
-from repro.arm.memory import MemoryMap, PhysicalMemory
+from repro.arm.memory import WORDS_PER_PAGE, MemoryMap, PhysicalMemory
 from repro.crypto.rng import HardwareRNG
 from repro.monitor.komodo import KomodoMonitor
 from tests.arm.test_memory import (
@@ -43,7 +43,7 @@ class TestCpuView:
         base = memmap.page_base(1)
         memory.write_word(base + 8, 7)
         memory.zero_page(base)
-        assert all(w == 0 for w in memory.read_page(base))
+        assert all(w == 0 for w in memory.read_words(base, WORDS_PER_PAGE))
 
 
 class TestPhysicalAttacker:

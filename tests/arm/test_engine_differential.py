@@ -81,7 +81,7 @@ def observe(state):
         "cycles": state.cycles,
         "tlb": (state.tlb.consistent, state.tlb.flush_count),
         "memory": {
-            region.name: state.memory.snapshot_region(region)
+            region.name: state.memory.region_bytes(region.base, region.size)
             for region in state.memmap.regions()
         },
     }

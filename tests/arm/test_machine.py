@@ -52,7 +52,7 @@ class TestChargedHelpers:
         before = state.cycles
         state.mon_zero_page(base)
         assert state.cycles - before == state.costs.page_zero
-        assert all(w == 0 for w in state.memory.read_page(base))
+        assert all(w == 0 for w in state.memory.read_words(base, WORDS_PER_PAGE))
 
     def test_mon_copy_page(self, state):
         src = state.memmap.insecure.base

@@ -147,7 +147,7 @@ class TestBulkOps:
         base = memmap.page_base(0)
         memory.write_word(base + 8, 0xFF)
         memory.zero_page(base)
-        assert all(w == 0 for w in memory.read_page(base))
+        assert all(w == 0 for w in memory.read_words(base, WORDS_PER_PAGE))
 
     def test_copy_page(self, memory, memmap):
         src = memmap.insecure.base
@@ -155,18 +155,12 @@ class TestBulkOps:
         for i in range(WORDS_PER_PAGE):
             memory.write_word(src + i * 4, i)
         memory.copy_page(src, dst)
-        assert memory.read_page(dst) == list(range(WORDS_PER_PAGE))
+        assert memory.read_words(dst, WORDS_PER_PAGE) == list(range(WORDS_PER_PAGE))
 
     def test_read_write_words(self, memory, memmap):
         base = memmap.insecure.base
         memory.write_words(base, [1, 2, 3])
         assert memory.read_words(base, 3) == [1, 2, 3]
-
-    def test_snapshot_region_sparse(self, memory, memmap):
-        memory.write_word(memmap.insecure.base, 5)
-        memory.write_word(memmap.insecure.base + 4, 0)  # zero: not in snapshot
-        snapshot = memory.snapshot_region(memmap.insecure)
-        assert snapshot == {memmap.insecure.base: 5}
 
 
 def _near_boundary(draw, memmap, min_words, max_words):

@@ -86,9 +86,10 @@ class TestInsecureMemoryInvariance:
     def test_non_executing_calls_leave_insecure_memory(self, mon, callno, args):
         base = mon.state.memmap.insecure.base
         mon.state.memory.write_word(base, 0xAA55)
-        snapshot = mon.state.memory.snapshot_region(mon.state.memmap.insecure)
+        insecure = mon.state.memmap.insecure
+        before = mon.state.memory.region_bytes(insecure.base, insecure.size)
         mon.smc(callno, *args)
-        assert mon.state.memory.snapshot_region(mon.state.memmap.insecure) == snapshot
+        assert mon.state.memory.region_bytes(insecure.base, insecure.size) == before
 
 
 class TestInterruptScheduling:
