@@ -15,6 +15,12 @@ is unchanged — secure-world software reads plaintext — but the
 ciphertext, and tampering with ciphertext or tags is detected on the
 next CPU read, modelling the integrity half of the engine.
 
+Page stamps (``PhysicalMemory.page_stamp``) are inherited unchanged:
+every engine store, ``physical_write`` and ``physical_move`` included,
+lands in the dirty set through ``_put``, and ``rewind`` restores the
+tags together with the bytes and stamps, so an equal stamp still names
+equal ciphertext and tags.
+
 As in the paper, the mechanism is hardware configuration: the monitor
 is oblivious to which variant it runs on (its proofs hold for both; the
 variants differ only in which *physical* attacker they defeat).

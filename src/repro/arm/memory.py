@@ -23,6 +23,21 @@ it wrote dirty, bumps ``generation`` and, on a store into a live page
 table, poisons the TLB bound by ``watch`` (paper section 5.1).  Only the
 turbo engine's inline stores (``arm/blocks.py``) repeat that check.
 ``checkpoint``/``rewind`` save and restore the contents.
+
+Page stamps let verifiers skip pages that have not changed.
+``page_stamp(address)`` is ``None`` while the page is in the dirty set;
+otherwise it is a process-unique token naming the page's exact bytes:
+the token of the ``checkpoint`` that last captured the page dirty, or
+0 for a never-written zero page.  The contract: if a page has the same
+non-``None`` stamp at two moments, on this memory or any other in the
+process, its bytes are identical at both.  ``checkpoint`` stamps the
+dirty pages before it clears the set, ``rewind`` leaves the stamps
+equal to the checkpoint's and ``__deepcopy__`` copies them with the
+bytes, so the store path is untouched: ``_dirty`` stays the one record
+of writes (including the turbo engine's inline stores and ``flip_bit``).
+``StampMemo`` memoises a per-page derivation on ``(base, stamp)``; the
+integrity engine's page CRCs and the campaign audit's table scans use
+it (see DESIGN.md, "Memory integrity & graceful degradation").
 ``generation`` counts every mutation; the fast-path execution engine
 uses it to invalidate its decoded-instruction cache (see DESIGN.md,
 "Fast-path engine").  ``read_ops`` and ``write_ops`` count read/write
@@ -37,7 +52,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from copy import deepcopy as _deepcopy
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.arm.bits import WORDSIZE, word_aligned
 from repro.arm.modes import World
@@ -51,7 +66,8 @@ _PAGE_MASK = ~(PAGE_SIZE - 1)
 _TYPECODE = next(tc for tc in ("I", "L") if array(tc).itemsize == 4)
 
 #: Process-wide checkpoint tokens; 0 never issues, so a never-anchored
-#: memory matches no checkpoint.
+#: memory matches no checkpoint.  A token also stamps the pages its
+#: checkpoint captured dirty (``page_stamp``), so stamps are unique too.
 _SNAP_TOKENS = itertools.count(1)
 
 #: Tests set this False to force every ``rewind`` down the full-buffer
@@ -141,9 +157,10 @@ class MemoryMap:
 
     def page_base(self, pageno: int) -> int:
         """Physical base address of secure page ``pageno``."""
-        if not self.valid_pageno(pageno):
-            raise ValueError(f"invalid secure page number {pageno}")
-        return self.secure.base + pageno * PAGE_SIZE
+        # ``valid_pageno`` inlined: every PageDB field access lands here.
+        if isinstance(pageno, int) and 0 <= pageno < self.secure_pages:
+            return self.secure.base + pageno * PAGE_SIZE
+        raise ValueError(f"invalid secure page number {pageno}")
 
     def pageno_of(self, address: int) -> int:
         """Secure page number containing ``address`` (must be secure)."""
@@ -212,6 +229,9 @@ class PhysicalMemory:
         #: Token of the checkpoint the dirty set is relative to (0 = no
         #: anchor).  See ``checkpoint``/``rewind``.
         self._snap_token = 0
+        #: Per-page stamps (index ``offset >> 12``), valid for pages
+        #: outside ``_dirty``; see ``page_stamp``.  0 = never written.
+        self._stamps: List[int] = [0] * (self._size // PAGE_SIZE)
         #: The TLB stores poison, and its footprint (the TLB's own set).
         self._tlb = None
         self._watched = frozenset()
@@ -358,16 +378,35 @@ class PhysicalMemory:
         offset = self._span(base, size // WORDSIZE) << 2
         return bytes(self._buf[offset : offset + size])
 
+    def page_stamp(self, address: int) -> Optional[int]:
+        """Stamp of the page holding ``address``: ``None`` while it is
+        dirty, else a process-unique token naming its exact bytes (equal
+        non-``None`` stamps imply equal bytes, on any memory)."""
+        offset = address - self._base
+        if not 0 <= offset < self._size:
+            raise self._fault(address, "read")
+        page = offset >> 12
+        return None if page in self._dirty else self._stamps[page]
+
     def checkpoint(self) -> "MemoryCheckpoint":
         """Capture contents and counters, and re-anchor the dirty set: it
-        now records exactly the pages that diverge from this checkpoint."""
+        now records exactly the pages that diverge from this checkpoint.
+        Every dirty page is stamped with the checkpoint's token first."""
         token = next(_SNAP_TOKENS)
         self._snap_token = token
+        stamps = self._stamps
+        for page in self._dirty:
+            stamps[page] = token
         self._dirty.clear()
         # bytes(), not a slice: slicing the memoryview-backed store
         # would alias the live buffer instead of copying it.
         return MemoryCheckpoint(
-            token, bytes(self._buf), self.generation, self.read_ops, self.write_ops
+            token,
+            bytes(self._buf),
+            tuple(stamps),
+            self.generation,
+            self.read_ops,
+            self.write_ops,
         )
 
     def rewind(self, cp: "MemoryCheckpoint") -> None:
@@ -375,7 +414,10 @@ class PhysicalMemory:
 
         While anchored to ``cp`` only the dirty pages are copied back;
         any other token (an older or foreign checkpoint) takes the full
-        copy and re-anchors.  Both leave the buffer equal to ``cp.store``.
+        copy of bytes and stamps and re-anchors.  Both leave the buffer
+        equal to ``cp.store`` and the stamps equal to ``cp.stamps``:
+        stamps change only in ``checkpoint`` and ``rewind``, so an
+        anchored memory's stamps already equal its anchor's.
         """
         dirty = self._dirty
         if DELTA_RESTORE and cp.token == self._snap_token:
@@ -385,6 +427,7 @@ class PhysicalMemory:
                 buf[offset : offset + PAGE_SIZE] = store[offset : offset + PAGE_SIZE]
         else:
             self._buf[:] = cp.store
+            self._stamps[:] = cp.stamps
             self._snap_token = cp.token
         dirty.clear()
         self.generation = cp.generation
@@ -415,10 +458,47 @@ class MemoryCheckpoint(NamedTuple):
 
     token: int
     store: bytes
+    stamps: Tuple[int, ...]
     generation: int
     read_ops: int
     write_ops: int
     engine: Optional[object] = None
+
+
+class StampMemo:
+    """Per-page derivations memoised on ``(page base, page_stamp)``.
+
+    ``lookup`` returns ``derive(*args)`` for the page at ``base``,
+    computing it only when the page is dirty or its stamp is new; by the
+    stamp contract a hit is exactly what a fresh derivation would give.
+    A derivation that raises is not remembered.  At most ``cap`` entries
+    are kept (the oldest is dropped first).
+    """
+
+    __slots__ = ("cap", "_entries")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self._entries: Dict[Tuple[int, int], object] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, memory: PhysicalMemory, base: int, derive: Callable, *args):
+        stamp = memory.page_stamp(base)
+        if stamp is None:
+            return derive(*args)
+        entries = self._entries
+        key = (base, stamp)
+        try:
+            return entries[key]
+        except KeyError:
+            pass
+        value = derive(*args)
+        if len(entries) >= self.cap:
+            del entries[next(iter(entries))]
+        entries[key] = value
+        return value
 
 
 def differing_words(base: int, before: bytes, after: bytes) -> List[int]:

@@ -10,11 +10,15 @@ Determinism is the backbone of the chaos gate: a response's
 idempotency key, ok, result words, error code), so a request executed
 on any worker, any engine, or the degraded in-process path must produce
 the same digest as the pure in-process golden.
+
+A malformed wire dict raises :class:`BadRequest` naming its first
+missing or ill-typed field, never a bare ``KeyError`` or ``TypeError``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -106,6 +110,53 @@ ERROR_CODES = {
 }
 
 
+#: ``(field, accepted types)`` of each wire dict, in dataclass order.
+_REQUEST_WIRE = (
+    ("kind", str),
+    ("payload", (list, tuple)),
+    ("tenant", str),
+    ("nonce", int),
+)
+_RESPONSE_WIRE = (
+    ("kind", str),
+    ("key", str),
+    ("ok", bool),
+    ("words", (list, tuple)),
+    ("error_code", (str, type(None))),
+    ("error", (str, type(None))),
+    ("worker", int),
+    ("attempts", int),
+    ("degraded", bool),
+    ("elapsed", (int, float)),
+)
+_REQUEST_TYPES = tuple(types for _, types in _REQUEST_WIRE)
+_RESPONSE_TYPES = tuple(types for _, types in _RESPONSE_WIRE)
+
+
+def _malformed(what: str, wire, fields) -> BadRequest:
+    """The error for a ``wire`` dict that failed to decode, naming its
+    first missing or ill-typed field (the slow path of ``from_wire``)."""
+    if not isinstance(wire, dict):
+        return BadRequest(f"{what} wire is a {type(wire).__name__}, not a dict")
+    for name, types in fields:
+        if name not in wire:
+            return BadRequest(f"{what} wire lacks field {name!r}")
+        value = wire[name]
+        if not isinstance(value, types):
+            return BadRequest(
+                f"{what} wire field {name!r} is ill-typed ({type(value).__name__})"
+            )
+        # Request payloads are masked to 32 bits; response words must fit.
+        if isinstance(value, (list, tuple)) and not all(
+            isinstance(word, int) and (what == "request" or 0 <= word <= 0xFFFFFFFF)
+            for word in value
+        ):
+            return BadRequest(f"{what} wire field {name!r} holds a non-word")
+        if name == "nonce" and not 0 <= value < 1 << 64:
+            return BadRequest(f"{what} wire field 'nonce' is out of range")
+    return BadRequest(f"malformed {what} wire")
+
+
 @dataclass(frozen=True)
 class CloudRequest:
     """One tenant request: a kind plus its payload words.
@@ -162,12 +213,14 @@ class CloudRequest:
 
     @classmethod
     def from_wire(cls, wire: Dict) -> "CloudRequest":
-        return cls(
-            kind=wire["kind"],
-            payload=tuple(wire["payload"]),
-            tenant=wire["tenant"],
-            nonce=wire["nonce"],
-        )
+        try:
+            values = [wire[name] for name, _ in _REQUEST_WIRE]
+            nonce = values[3]
+            if all(map(isinstance, values, _REQUEST_TYPES)) and 0 <= nonce < 1 << 64:
+                return cls(values[0], tuple(values[1]), values[2], nonce)
+        except (KeyError, TypeError):  # a missing field, or a non-int word
+            pass
+        raise _malformed("request", wire, _REQUEST_WIRE)
 
 
 @dataclass(frozen=True)
@@ -224,18 +277,17 @@ class CloudResponse:
 
     @classmethod
     def from_wire(cls, wire: Dict) -> "CloudResponse":
-        return cls(
-            kind=wire["kind"],
-            key=wire["key"],
-            ok=wire["ok"],
-            words=tuple(wire["words"]),
-            error_code=wire["error_code"],
-            error=wire["error"],
-            worker=wire["worker"],
-            attempts=wire["attempts"],
-            degraded=wire["degraded"],
-            elapsed=wire["elapsed"],
-        )
+        try:
+            values = [wire[name] for name, _ in _RESPONSE_WIRE]
+            if all(map(isinstance, values, _RESPONSE_TYPES)):
+                # array("L") rejects a non-int or negative word at C speed.
+                words = array("L", values[3])
+                if not words or max(words) <= 0xFFFFFFFF:
+                    values[3] = tuple(words)
+                    return cls(*values)
+        except (KeyError, TypeError, OverflowError):
+            pass
+        raise _malformed("response", wire, _RESPONSE_WIRE)
 
     @classmethod
     def failure(

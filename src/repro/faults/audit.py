@@ -11,7 +11,11 @@ Two independent checkers run after every injected fault:
   PageDB entry sanity, refcount agreement, page-table ↔ PageDB
   agreement, measurement-state sanity, free-page scrubbing, and
   journal/transaction quiescence.  It shares no code with extraction or
-  ``PageDB``, so a bug in those cannot mask a torn state.
+  ``PageDB``, so a bug in those cannot mask a torn state.  Its scan of
+  a page table for non-invalid descriptors is memoised per table page
+  on ``(base, PhysicalMemory.page_stamp)`` (``TABLE_SCAN_MEMO_SIZE``
+  entries per table level, separate from extraction's memos); the
+  checks against page types and owners run on every audit.
 
 :func:`secure_state_digest` hashes everything the OS cannot touch
 (monitor image + stack + secure pages); campaigns use it to classify a
@@ -22,11 +26,11 @@ passes through.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.arm.bits import WORDSIZE
 from repro.arm.machine import MachineState
-from repro.arm.memory import PAGE_SIZE
+from repro.arm.memory import PAGE_SIZE, StampMemo
 from repro.arm.modes import World
 from repro.arm.pagetable import (
     DESC_INVALID,
@@ -57,6 +61,24 @@ from repro.monitor.layout import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.komodo import KomodoMonitor
+
+
+#: Bound on each memo of per-table descriptor scans (one per level: a
+#: flipped PageDB type word can retype a table page without writing it).
+TABLE_SCAN_MEMO_SIZE = 1024
+
+_L1_SCANS = StampMemo(TABLE_SCAN_MEMO_SIZE)
+_L2_SCANS = StampMemo(TABLE_SCAN_MEMO_SIZE)
+
+
+def _descriptors(memory, base: int, count: int) -> Tuple[Tuple[int, int], ...]:
+    """The ``(index, word)`` pairs of the non-invalid descriptors among
+    the ``count`` table words at ``base``."""
+    return tuple(
+        (index, word)
+        for index, word in enumerate(memory.read_words(base, count))
+        if entry_type(word) != DESC_INVALID
+    )
 
 
 def secure_state_digest(state: MachineState) -> str:
@@ -187,11 +209,11 @@ def machine_consistency(state: MachineState) -> List[str]:
             continue
         base = memmap.page_base(pageno)
         if page_type is PageType.L1PTABLE:
-            for index, word in enumerate(memory.read_words(base, L1_ENTRIES)):
-                kind = entry_type(word)
-                if kind == DESC_INVALID:
-                    continue
-                if kind != DESC_L1_COARSE:
+            scan = _L1_SCANS.lookup(
+                memory, base, _descriptors, memory, base, L1_ENTRIES
+            )
+            for index, word in scan:
+                if entry_type(word) != DESC_L1_COARSE:
                     problems.append(f"L1 {pageno}[{index}]: malformed descriptor")
                     continue
                 target = entry_target(word)
@@ -206,11 +228,11 @@ def machine_consistency(state: MachineState) -> List[str]:
                 elif owners.get(l2page) != owners.get(pageno):
                     problems.append(f"L1 {pageno}[{index}]: crosses addrspaces")
         elif page_type is PageType.L2PTABLE:
-            for index, word in enumerate(memory.read_words(base, L2_ENTRIES)):
-                kind = entry_type(word)
-                if kind == DESC_INVALID:
-                    continue
-                if kind != DESC_L2_SMALL:
+            scan = _L2_SCANS.lookup(
+                memory, base, _descriptors, memory, base, L2_ENTRIES
+            )
+            for index, word in scan:
+                if entry_type(word) != DESC_L2_SMALL:
                     problems.append(f"L2 {pageno}[{index}]: malformed descriptor")
                     continue
                 if not word & PERM_SECURE:

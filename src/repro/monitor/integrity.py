@@ -37,6 +37,17 @@ with the page number; every other enclave and the OS stay fully
 operational, and the OS reclaims the pages through the normal
 Stop/Remove path (Remove clears the quarantine flag).
 
+Like the MEE, which keeps verified nodes on chip and re-checks only
+what comes back from DRAM, the engine re-derives only what changed.
+Page CRCs are memoised on ``(page base, PhysicalMemory.page_stamp)``:
+a page written since the last snapshot has no stamp and is re-hashed,
+so a bit flip (a write) is always caught at the next check.  The
+PageDB verdict is memoised on the *content* of the primary PageDB and
+its replica+checksum span (the ITAG page's dirty flags change inside
+every Enter, so a stamp key would always miss); equal bytes give an
+equal verdict by construction, and a repair is never cached.  Both
+memos are bounded (``PAGE_CRC_MEMO_SIZE``, ``PAGEDB_MEMO_SIZE``).
+
 All engine work — verification, repair, retagging — charges **zero
 cycles** (it models a hardware pipeline stage, not monitor software),
 and engine reads do not count as CPU read transactions, so the cost
@@ -56,7 +67,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
 from repro.arm.bits import WORDSIZE
 from repro.arm.machine import MachineState
-from repro.arm.memory import WORDS_PER_PAGE, _TYPECODE, PhysicalMemory
+from repro.arm.memory import WORDS_PER_PAGE, _TYPECODE, PhysicalMemory, StampMemo
 from repro.monitor.layout import (
     AS_REFCOUNT_WORD,
     AS_STATE_WORD,
@@ -147,6 +158,14 @@ def _peek_words(memory: PhysicalMemory, address: int, count: int) -> List[int]:
         memory.read_ops = saved
 
 
+def _peek_bytes(memory: PhysicalMemory, address: int, size: int) -> bytes:
+    saved = memory.read_ops
+    try:
+        return memory.region_bytes(address, size)
+    finally:
+        memory.read_ops = saved
+
+
 def _peek_page_checksum(memory: PhysicalMemory, base: int) -> int:
     """Content tag of the page at ``base``, read zero-copy as an engine read."""
     saved = memory.read_ops
@@ -154,6 +173,18 @@ def _peek_page_checksum(memory: PhysicalMemory, base: int) -> int:
         return page_checksum(memory.view_words(base, WORDS_PER_PAGE))
     finally:
         memory.read_ops = saved
+
+
+#: Bound on the page-CRC memo: one entry per (page, stamp) pair, and a
+#: run re-stamps a page only when a snapshot captures it written.
+PAGE_CRC_MEMO_SIZE = 4096
+
+_PAGE_CRCS = StampMemo(PAGE_CRC_MEMO_SIZE)
+
+
+def _page_crc(memory: PhysicalMemory, base: int) -> int:
+    """:func:`_peek_page_checksum`, memoised on the page's stamp."""
+    return _PAGE_CRCS.lookup(memory, base, _peek_page_checksum, memory, base)
 
 
 def _twrite(state: MachineState, address: int, value: int) -> None:
@@ -333,24 +364,43 @@ def check_pagedb(
     corrupted checksum.
 
     The common case, all three copies agreeing, is decided by two list
-    comparisons against the memoised entry checksums; anything else
-    goes through the per-entry loop of :func:`_repair_pagedb`, which is
-    the only code that decides a repair.
+    comparisons against the memoised entry checksums and remembered
+    under the bytes of the primary PageDB and of the replica+checksum
+    span, so a repeat costs two slices and a lookup.  Anything else goes
+    through the per-entry loop of :func:`_repair_pagedb`, which is the
+    only code that decides a repair, and is never remembered.
     """
     memmap = state.memmap
     base = memmap.monitor_image.base
     npages = memmap.secure_pages
     memory = state.memory
-    primary = _peek_words(memory, pagedb_entry_addr(base, 0), npages * 2)
-    replica = _peek_words(memory, itag_replica_addr(base, 0), npages * 2)
-    sums = _peek_words(memory, itag_entry_sum_addr(base, npages, 0), npages)
-    type_words = primary[0::2]
-    owner_words = primary[1::2]
-    if primary == replica and sums == list(
-        map(entry_checksum, type_words, owner_words)
-    ):
-        return dict(enumerate(type_words)), dict(enumerate(owner_words)), [], 0
-    return _repair_pagedb(state, primary, replica, sums)
+    key = (
+        _peek_bytes(memory, pagedb_entry_addr(base, 0), npages * 2 * WORDSIZE),
+        # The replica array is followed directly by the entry checksums.
+        _peek_bytes(memory, itag_replica_addr(base, 0), npages * 3 * WORDSIZE),
+    )
+    agreed = _AGREEING.get(key)
+    if agreed is None:
+        primary = memoryview(key[0]).cast(_TYPECODE).tolist()
+        redundancy = memoryview(key[1]).cast(_TYPECODE).tolist()
+        replica, sums = redundancy[: npages * 2], redundancy[npages * 2 :]
+        type_words = primary[0::2]
+        owner_words = primary[1::2]
+        if primary != replica or sums != list(
+            map(entry_checksum, type_words, owner_words)
+        ):
+            return _repair_pagedb(state, primary, replica, sums)
+        if len(_AGREEING) >= PAGEDB_MEMO_SIZE:
+            del _AGREEING[next(iter(_AGREEING))]
+        agreed = _AGREEING[key] = (type_words, owner_words)
+    return dict(enumerate(agreed[0])), dict(enumerate(agreed[1])), [], 0
+
+
+#: Bound on :func:`check_pagedb`'s memo of agreeing PageDB images (one
+#: per distinct PageDB a run passes through between repairs).
+PAGEDB_MEMO_SIZE = 256
+
+_AGREEING: Dict[Tuple[bytes, bytes], Tuple[List[int], List[int]]] = {}
 
 
 def _repair_pagedb(
@@ -398,12 +448,17 @@ def _repair_pagedb(
     return types, owners, fixes, repaired
 
 
-def _page_tag_ok(state: MachineState, pageno: int) -> bool:
+def _page_tags(state: MachineState) -> List[int]:
+    """The content-tag array, read fresh from memory (never memoised,
+    so a flip in a tag word itself is caught)."""
     base = state.memmap.monitor_image.base
     npages = state.memmap.secure_pages
-    return _peek_page_checksum(state.memory, state.memmap.page_base(pageno)) == _peek(
-        state.memory, itag_page_tag_addr(base, npages, pageno)
-    )
+    return _peek_words(state.memory, itag_page_tag_addr(base, npages, 0), npages)
+
+
+def _tag_mismatch(state: MachineState, tags: List[int], pageno: int) -> bool:
+    """True if page ``pageno``'s content does not match ``tags[pageno]``."""
+    return _page_crc(state.memory, state.memmap.page_base(pageno)) != tags[pageno]
 
 
 def _dirty_addrspaces(state: MachineState) -> Set[int]:
@@ -521,9 +576,10 @@ def precheck(mon: "KomodoMonitor", enter_thread: int = None) -> PrecheckReport:
         return report
     types, owners, fixes, repaired = check_pagedb(state)
     report.repaired = repaired
+    tags = _page_tags(state)
     suspects: List[int] = []
     for pageno, type_word in types.items():
-        if type_word in _ALWAYS_TAGGED and not _page_tag_ok(state, pageno):
+        if type_word in _ALWAYS_TAGGED and _tag_mismatch(state, tags, pageno):
             suspects.append(pageno)
     enter_asno = (
         owners[enter_thread]
@@ -540,7 +596,7 @@ def precheck(mon: "KomodoMonitor", enter_thread: int = None) -> PrecheckReport:
                 type_word == int(PageType.DATA)
                 and owners[pageno] == enter_asno
                 and pageno not in suspects
-                and not _page_tag_ok(state, pageno)
+                and _tag_mismatch(state, tags, pageno)
             ):
                 suspects.append(pageno)
     if fixes or suspects:
@@ -573,9 +629,10 @@ def scrub(mon: "KomodoMonitor") -> PrecheckReport:
     report.repaired = repaired
     for address, value in fixes:
         _twrite(state, address, value)
+    tags = _page_tags(state)
     suspects: List[int] = []
     for pageno, type_word in types.items():
-        if type_word in _ALWAYS_TAGGED and not _page_tag_ok(state, pageno):
+        if type_word in _ALWAYS_TAGGED and _tag_mismatch(state, tags, pageno):
             suspects.append(pageno)
     dirty = _dirty_addrspaces(state)
     distrust = set(suspects)
@@ -584,7 +641,7 @@ def scrub(mon: "KomodoMonitor") -> PrecheckReport:
             type_word == int(PageType.DATA)
             and owners[pageno] not in dirty
             and owners[pageno] not in distrust
-            and not _page_tag_ok(state, pageno)
+            and _tag_mismatch(state, tags, pageno)
         ):
             suspects.append(pageno)
     for pageno, type_word in types.items():
@@ -662,7 +719,7 @@ def refresh_data_tags(mon: "KomodoMonitor", asno: int) -> None:
             _twrite(
                 state,
                 itag_page_tag_addr(base, npages, pageno),
-                _peek_page_checksum(state.memory, memmap.page_base(pageno)),
+                _page_crc(state.memory, memmap.page_base(pageno)),
             )
         _twrite(state, itag_dirty_addr(base, npages, asno), 0)
 
@@ -693,11 +750,12 @@ def consistency_problems(state: MachineState) -> List[str]:
     if fixes:
         problems.append(f"pagedb redundancy disagrees ({len(fixes)} pending fixes)")
     dirty = _dirty_addrspaces(state)
+    tags = _page_tags(state)
     for pageno, type_word in types.items():
         expected = type_word in _ALWAYS_TAGGED or (
             type_word == int(PageType.DATA) and owners[pageno] not in dirty
         )
-        if expected and not _page_tag_ok(state, pageno):
+        if expected and _tag_mismatch(state, tags, pageno):
             problems.append(f"page {pageno} content does not match its tag")
     flags = _peek_words(state.memory, itag_quarantine_addr(base, npages, 0), npages)
     for pageno, flag in enumerate(flags):

@@ -7,6 +7,11 @@ implementation's representation ever diverges from what the spec
 requires (e.g. a measurement hash state that doesn't match the abstract
 measured sequence, or a page-table word inconsistent with the abstract
 table), extraction or the subsequent comparison fails.
+
+Page-table decoding is memoised per table page on ``(base,
+PhysicalMemory.page_stamp)`` (``TABLE_MEMO_SIZE`` entries per level):
+a table written since the last snapshot is decoded afresh, and a
+decoding that raises ``ExtractionError`` is never remembered.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.arm.machine import MachineState
-from repro.arm.memory import WORDS_PER_PAGE
+from repro.arm.memory import WORDS_PER_PAGE, StampMemo
 from repro.arm.pagetable import (
     DESC_INVALID,
     DESC_L1_COARSE,
@@ -45,6 +50,13 @@ from repro.spec.pagedb import (
 
 class ExtractionError(AssertionError):
     """The concrete state has no abstract counterpart (refinement broken)."""
+
+
+#: Bound on each page-table decoding memo (entries per table level).
+TABLE_MEMO_SIZE = 1024
+
+_L1_MEMO = StampMemo(TABLE_MEMO_SIZE)
+_L2_MEMO = StampMemo(TABLE_MEMO_SIZE)
 
 
 def extract_pagedb(state: MachineState) -> AbsPageDb:
@@ -109,6 +121,11 @@ def _extract_entry(state: MachineState, pagedb: PageDB, pageno: int):
 
 def _extract_l1(state: MachineState, pagedb: PageDB, pageno: int, owner: int) -> AbsL1:
     base = pagedb.page_base(pageno)
+    entries = _L1_MEMO.lookup(state.memory, base, _decode_l1, state, pageno, base)
+    return AbsL1(addrspace=owner, entries=entries)
+
+
+def _decode_l1(state: MachineState, pageno: int, base: int) -> Tuple:
     entries = []
     for index, word in enumerate(state.memory.read_words(base, L1_ENTRIES)):
         kind = entry_type(word)
@@ -123,11 +140,16 @@ def _extract_l1(state: MachineState, pagedb: PageDB, pageno: int, owner: int) ->
             entries.append(state.memmap.pageno_of(target))
         else:
             raise ExtractionError(f"L1 {pageno}[{index}] has malformed descriptor")
-    return AbsL1(addrspace=owner, entries=tuple(entries))
+    return tuple(entries)
 
 
 def _extract_l2(state: MachineState, pagedb: PageDB, pageno: int, owner: int) -> AbsL2:
     base = pagedb.page_base(pageno)
+    entries = _L2_MEMO.lookup(state.memory, base, _decode_l2, state, pageno, base)
+    return AbsL2(addrspace=owner, entries=entries)
+
+
+def _decode_l2(state: MachineState, pageno: int, base: int) -> Tuple:
     entries = []
     for index, word in enumerate(state.memory.read_words(base, L2_ENTRIES)):
         kind = entry_type(word)
@@ -159,4 +181,4 @@ def _extract_l2(state: MachineState, pagedb: PageDB, pageno: int, owner: int) ->
                 executable=bool(word & PERM_X),
             )
         entries.append(mapping)
-    return AbsL2(addrspace=owner, entries=tuple(entries))
+    return tuple(entries)

@@ -65,6 +65,16 @@ class TestMemoryMap:
         with pytest.raises(ValueError):
             memmap.page_base(memmap.secure_pages)
 
+    @pytest.mark.parametrize("pageno", [-1, -8, 8, 9, 2**40, 1.0, 0.5, "1", None])
+    def test_page_base_rejects_what_valid_pageno_rejects(self, memmap, pageno):
+        assert not memmap.valid_pageno(pageno)
+        with pytest.raises(ValueError, match=f"^invalid secure page number {pageno}$"):
+            memmap.page_base(pageno)
+
+    def test_page_base_accepts_int_subclasses(self, memmap):
+        assert memmap.page_base(True) == memmap.secure.base + PAGE_SIZE
+        assert memmap.page_base(False) == memmap.secure.base
+
     def test_classification(self, memmap):
         assert memmap.is_secure(memmap.secure.base)
         assert memmap.is_insecure(memmap.insecure.base)

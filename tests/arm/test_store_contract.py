@@ -6,8 +6,9 @@ mutators poison the TLB they watch themselves, so no writer has to
 remember a follow-up call; ``EncryptedMemory`` poisons only once the
 engine has tagged the stored words (the footprint re-walk reads them
 back through the engine).  The watched footprint is memoised by L1
-contents.  An AST scan keeps memory internals and ``note_store`` calls
-inside the modules that own them.
+contents.  An AST scan keeps memory internals (the page-stamp table
+included: consumers reach stamps only through ``page_stamp``) and
+``note_store`` calls inside the modules that own them.
 """
 
 import ast
@@ -196,7 +197,7 @@ class TestFootprintMemo:
 
 
 #: Modules allowed to touch memory internals, and to call ``note_store``.
-INTERNALS = {"_buf", "_dirty", "_snap_token", "_tags"}
+INTERNALS = {"_buf", "_dirty", "_snap_token", "_stamps", "_tags"}
 INTERNALS_OWNERS = {"arm/memory.py", "arm/encryption.py", "arm/blocks.py"}
 NOTE_STORE_OWNERS = {"arm/memory.py", "arm/tlb.py", "arm/blocks.py"}
 
