@@ -18,6 +18,7 @@ DIFFERENTIAL = {
     "turbo": "5b8b94700027fdf47849f89925698025af0462981417e9c1fbe684739c8d8d4d",
 }
 BITFLIP = "aeec2e374086a2dbbe3e4e11803081a6afa8cab5b25e6bede0d5db4cc04090d4"
+BITFLIP_CONTENT = "40e5be899e1d439ba47293b69a1de23af60a8f43c0c5ef24633fc628acf7adeb"
 PIPELINE = "b4357cb11e84c314794589d5b3c3f6d632421031446d6137a4c4e71725c7a5a4"
 
 
@@ -41,6 +42,16 @@ def test_bitflip_report_digest_is_pinned():
     assert report.ok, report.violations[:5]
     assert report.total_trials > 0
     assert report_digest(report) == BITFLIP
+
+
+def test_content_bitflip_report_digest_is_pinned():
+    """Flips into metadata and DATA pages: every trial takes the
+    tag-mismatch quarantine path, whose order sets the journal's ops."""
+    report = BitflipCampaign(stride=173, targets=["metadata", "data"]).run()
+    assert report.ok, report.violations[:5]
+    assert report.total_trials == 84
+    assert report.outcome_counts["quarantined"] == 84
+    assert report_digest(report) == BITFLIP_CONTENT
 
 
 def test_pipeline_report_digest_is_pinned():
