@@ -99,24 +99,6 @@ class CFG:
     reachable: Set[int]  # block start indices reachable from the entry
     findings: List[Finding] = field(default_factory=list)
 
-    def block_at(self, index: int) -> BasicBlock:
-        """The block containing word ``index``."""
-        for start in sorted(self.blocks, reverse=True):
-            if start <= index:
-                block = self.blocks[start]
-                if index in block:
-                    return block
-                break
-        raise KeyError(f"no block contains index {index}")
-
-    def reachable_indices(self) -> Set[int]:
-        """Word indices of every reachable instruction."""
-        indices: Set[int] = set()
-        for start in self.reachable:
-            block = self.blocks[start]
-            indices.update(range(block.start, block.end))
-        return indices
-
     def va(self, index: int) -> int:
         return self.base_va + index * 4
 

@@ -179,9 +179,6 @@ class ConstraintStore:
             return False
         return trial.satisfiable()
 
-    def entailed(self, constraint: Constraint) -> bool:
-        return not self.feasible(negate(constraint))
-
     def satisfiable(self) -> bool:
         return self._solve(first_only=True) is not None
 

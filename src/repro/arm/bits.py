@@ -19,24 +19,9 @@ def to_word(value: int) -> int:
     return value & WORD_MASK
 
 
-def is_word(value: int) -> bool:
-    """Return True if ``value`` is already a valid 32-bit unsigned word."""
-    return isinstance(value, int) and 0 <= value <= WORD_MASK
-
-
 def word_aligned(address: int) -> bool:
     """Return True if ``address`` is word (4-byte) aligned."""
     return address % WORDSIZE == 0
-
-
-def align_down(address: int, alignment: int) -> int:
-    """Round ``address`` down to a multiple of ``alignment``."""
-    return address - (address % alignment)
-
-
-def align_up(address: int, alignment: int) -> int:
-    """Round ``address`` up to a multiple of ``alignment``."""
-    return align_down(address + alignment - 1, alignment)
 
 
 def add_wrap(a: int, b: int) -> int:
@@ -98,11 +83,6 @@ def to_signed(value: int) -> int:
     return value
 
 
-def from_signed(value: int) -> int:
-    """Encode a signed integer (−2^31..2^31−1) as a 32-bit word."""
-    return value & WORD_MASK
-
-
 def get_bit(value: int, bit: int) -> int:
     """Extract a single bit (0 or 1)."""
     return (value >> bit) & 1
@@ -119,13 +99,6 @@ def get_bits(value: int, high: int, low: int) -> int:
     """Extract the inclusive bitfield ``value[high:low]``."""
     width = high - low + 1
     return (value >> low) & ((1 << width) - 1)
-
-
-def set_bits(value: int, high: int, low: int, field: int) -> int:
-    """Return ``value`` with the inclusive bitfield ``[high:low]`` replaced."""
-    width = high - low + 1
-    mask = ((1 << width) - 1) << low
-    return (value & not_word(mask)) | ((field << low) & mask)
 
 
 def words_to_bytes(words: list) -> bytes:

@@ -9,7 +9,7 @@ there is no second decoder to drift.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.arm.instructions import (
     BRANCH_OPS,
@@ -85,15 +85,3 @@ def disassemble(
         lines.append(f"{va:#010x}:  {text}")
     return lines
 
-
-def dump_page(memory, base: int, limit: Optional[int] = None) -> str:
-    """Disassemble the start of a physical page (stops at the first run
-    of undefined words, which usually marks the end of the program)."""
-    from repro.arm.memory import WORDS_PER_PAGE
-
-    count = limit or WORDS_PER_PAGE
-    words = memory.read_words(base, count)
-    # Trim the trailing all-zero tail common in padded code pages.
-    while words and words[-1] == 0:
-        words.pop()
-    return "\n".join(disassemble(words, base_va=base))

@@ -131,12 +131,18 @@ class EncryptedMemory(PhysicalMemory):
         # Insecure spans are stored in plaintext: the base slice.  A span
         # touching a protected region is read through the engine, so the
         # fingerprint is plaintext and a tampered word still raises
-        # ``IntegrityViolation``.
+        # ``IntegrityViolation``.  As on the base class, not a read
+        # transaction: the engine's per-word reads are not counted.
         raw = super().region_bytes(base, size)  # faults like the base class
         insecure = self.map.insecure
         if insecure.base <= base and base + size <= insecure.limit:
             return raw
-        return array(_TYPECODE, self.read_words(base, size // WORDSIZE)).tobytes()
+        saved = self.read_ops
+        try:
+            words = self.read_words(base, size // WORDSIZE)
+        finally:
+            self.read_ops = saved
+        return array(_TYPECODE, words).tobytes()
 
     def write_words(self, address: int, values: Iterable[int]) -> None:
         words = list(values)

@@ -165,26 +165,6 @@ class InstrMeta:
     is_privileged: bool  # SMC-class: undefined from user mode
     is_trap: bool  # udf
 
-    @property
-    def is_memory_op(self) -> bool:
-        return self.memory is not None
-
-    @property
-    def falls_through(self) -> bool:
-        """Can execution continue at the next instruction?
-
-        Unconditional branches and returns never fall through; neither
-        do privileged/trap instructions (they raise an exception).  An
-        SVC resumes at the next instruction unless the monitor ends the
-        thread (``svc EXIT``), which the analyser decides from the call
-        number, not from here.
-        """
-        if self.is_branch and not (self.is_conditional or self.is_call):
-            return False
-        if self.is_return or self.is_privileged or self.is_trap:
-            return False
-        return True
-
 
 def metadata(instr: Instruction) -> InstrMeta:
     """Compute the metadata for one instruction."""

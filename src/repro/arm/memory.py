@@ -17,7 +17,10 @@ regions tile one contiguous span by construction) viewed through a
 operation and the bulk page helpers — zero, copy, burst read/write,
 the zero-copy ``view_words`` window, and the ``region_bytes``
 fingerprint that memory-region comparisons and digests use — are single
-slice operations.
+slice operations.  ``region_bytes`` is not a read transaction on either
+memory class (``EncryptedMemory`` reads protected spans through its
+engine but does not count those reads), so verifiers fingerprint memory
+without moving ``read_ops``.
 This module owns what a store implies: every mutator marks the pages
 it wrote dirty, bumps ``generation`` and, on a store into a live page
 table, poisons the TLB bound by ``watch`` (paper section 5.1).  Only the
@@ -371,12 +374,14 @@ class PhysicalMemory:
         use.  It neither reads nor changes the dirty-page set and is not
         a read transaction; a misaligned or out-of-range span faults
         like every bulk read.  ``EncryptedMemory`` overrides it for
-        protected spans (their plaintext must pass the engine).
+        protected spans (their plaintext must pass the engine, still
+        without counting a read).
         """
         if size % WORDSIZE or size < 0:
             raise MemoryFault(base, f"region size {size:#x} is not whole words")
-        offset = self._span(base, size // WORDSIZE) << 2
-        return bytes(self._buf[offset : offset + size])
+        count = size // WORDSIZE
+        start = self._span(base, count)
+        return self._store[start : start + count].tobytes()
 
     def page_stamp(self, address: int) -> Optional[int]:
         """Stamp of the page holding ``address``: ``None`` while it is

@@ -48,11 +48,20 @@ every Enter, so a stamp key would always miss); equal bytes give an
 equal verdict by construction, and a repair is never cached.  Both
 memos are bounded (``PAGE_CRC_MEMO_SIZE``, ``PAGEDB_MEMO_SIZE``).
 
+Each rule is written once: :func:`_survey` (which tagged pages fail
+their tag, in quarantine order) serves :func:`precheck`, :func:`scrub`
+and the audit walk :func:`consistency_problems`, which differ only in
+the DATA-page owners they pass; :func:`_stray_flags` decides which
+quarantine flags scrub heals and the audit reports; and
+:func:`_entry_stores` derives an entry's redundancy everywhere.
+
 All engine work — verification, repair, retagging — charges **zero
 cycles** (it models a hardware pipeline stage, not monitor software),
-and engine reads do not count as CPU read transactions, so the cost
-model and the fast-path engine's regression anchors are untouched.
-Tag updates ride inside the PR-3 commit journal: ``run_transactional``
+and engine reads do not count as CPU read transactions (``region_bytes``
+is none on either memory class; :func:`_peek_words` restores the
+counter), so the cost model and the fast-path engine's regression
+anchors are untouched.
+Tag updates ride inside the commit journal: ``run_transactional``
 asks :func:`record_tag_ops` to append tag writes to the transaction at
 its commit point, so data and tags are crash-atomic together.
 """
@@ -63,11 +72,12 @@ import functools
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.arm.bits import WORDSIZE
 from repro.arm.machine import MachineState
-from repro.arm.memory import WORDS_PER_PAGE, _TYPECODE, PhysicalMemory, StampMemo
+from repro.arm.memory import PAGE_SIZE, WORDS_PER_PAGE, _TYPECODE
+from repro.arm.memory import PhysicalMemory, StampMemo
 from repro.monitor.layout import (
     AS_REFCOUNT_WORD,
     AS_STATE_WORD,
@@ -122,12 +132,9 @@ def page_checksum(words: Iterable[int]) -> int:
     CRC-32 detects every single-bit (indeed every burst-of-32) error,
     which is exactly the fault model; it is not keyed because the tag
     region lives in monitor data memory the OS can never read or write.
-    A word-cast ``memoryview`` (``PhysicalMemory.view_words``) is hashed
-    in place; any other sequence of words is packed first.
+    Equal to the CRC-32 of the page's ``region_bytes``.
     """
-    if not isinstance(words, memoryview):
-        words = array(_TYPECODE, words)
-    return zlib.crc32(words) & 0xFFFFFFFF
+    return zlib.crc32(array(_TYPECODE, words)) & 0xFFFFFFFF
 
 
 #: Bound on :func:`entry_checksum`'s memo.  A healthy PageDB holds a few
@@ -141,16 +148,8 @@ def entry_checksum(type_word: int, owner_word: int) -> int:
     return zlib.crc32(array(_TYPECODE, (type_word, owner_word))) & 0xFFFFFFFF
 
 
-def _peek(memory: PhysicalMemory, address: int) -> int:
-    """An engine read: does not count as a CPU read transaction."""
-    saved = memory.read_ops
-    try:
-        return memory.read_word(address)
-    finally:
-        memory.read_ops = saved
-
-
 def _peek_words(memory: PhysicalMemory, address: int, count: int) -> List[int]:
+    """An engine read: does not count as a CPU read transaction."""
     saved = memory.read_ops
     try:
         return memory.read_words(address, count)
@@ -158,21 +157,9 @@ def _peek_words(memory: PhysicalMemory, address: int, count: int) -> List[int]:
         memory.read_ops = saved
 
 
-def _peek_bytes(memory: PhysicalMemory, address: int, size: int) -> bytes:
-    saved = memory.read_ops
-    try:
-        return memory.region_bytes(address, size)
-    finally:
-        memory.read_ops = saved
-
-
-def _peek_page_checksum(memory: PhysicalMemory, base: int) -> int:
-    """Content tag of the page at ``base``, read zero-copy as an engine read."""
-    saved = memory.read_ops
-    try:
-        return page_checksum(memory.view_words(base, WORDS_PER_PAGE))
-    finally:
-        memory.read_ops = saved
+def _peek(memory: PhysicalMemory, address: int) -> int:
+    """:func:`_peek_words` of one word."""
+    return _peek_words(memory, address, 1)[0]
 
 
 #: Bound on the page-CRC memo: one entry per (page, stamp) pair, and a
@@ -183,8 +170,27 @@ _PAGE_CRCS = StampMemo(PAGE_CRC_MEMO_SIZE)
 
 
 def _page_crc(memory: PhysicalMemory, base: int) -> int:
-    """:func:`_peek_page_checksum`, memoised on the page's stamp."""
-    return _PAGE_CRCS.lookup(memory, base, _peek_page_checksum, memory, base)
+    """Content tag of the page at ``base``, memoised on its stamp."""
+    return _PAGE_CRCS.lookup(memory, base, _region_crc, memory, base)
+
+
+def _region_crc(memory: PhysicalMemory, base: int) -> int:
+    """:func:`page_checksum` of the page at ``base``, from its bytes.
+    (A function, not a per-call lambda: lookups that hit never build it.)"""
+    return zlib.crc32(memory.region_bytes(base, PAGE_SIZE))
+
+
+def _entry_stores(
+    base: int, npages: int, pageno: int, type_word: int, owner_word: int
+) -> Tuple[Tuple[int, int], ...]:
+    """The ``(address, value)`` stores of an entry's replica and checksum."""
+    replica = itag_replica_addr(base, pageno)
+    sum_addr = itag_entry_sum_addr(base, npages, pageno)
+    return (
+        (replica, type_word),
+        (replica + WORDSIZE, owner_word),
+        (sum_addr, entry_checksum(type_word, owner_word)),
+    )
 
 
 def _twrite(state: MachineState, address: int, value: int) -> None:
@@ -282,12 +288,10 @@ def record_tag_ops(state: MachineState, txn) -> None:
             type_word, owner_word = txn.read_words(
                 state.memory, pagedb_entry_addr(base, pageno), PAGEDB_ENTRY_WORDS
             )
-            txn.record_write(itag_replica_addr(base, pageno), type_word)
-            txn.record_write(itag_replica_addr(base, pageno) + WORDSIZE, owner_word)
-            txn.record_write(
-                itag_entry_sum_addr(base, npages, pageno),
-                entry_checksum(type_word, owner_word),
-            )
+            for address, value in _entry_stores(
+                base, npages, pageno, type_word, owner_word
+            ):
+                txn.record_write(address, value)
             if type_word == int(PageType.FREE):
                 # Deallocation retires the quarantine and dirty flags.
                 txn.record_write(itag_quarantine_addr(base, npages, pageno), 0)
@@ -323,27 +327,18 @@ def resync(state: MachineState) -> None:
     base = memmap.monitor_image.base
     npages = memmap.secure_pages
     memory = state.memory
-    saved = memory.read_ops
-    try:
-        for pageno in range(npages):
-            type_word, owner_word = memory.read_words(
-                pagedb_entry_addr(base, pageno), PAGEDB_ENTRY_WORDS
-            )
-            memory.write_word(itag_replica_addr(base, pageno), type_word)
-            memory.write_word(itag_replica_addr(base, pageno) + WORDSIZE, owner_word)
-            memory.write_word(
-                itag_entry_sum_addr(base, npages, pageno),
-                entry_checksum(type_word, owner_word),
-            )
-            if type_word in _NEVER_TAGGED:
-                tag = 0
-            else:
-                tag = page_checksum(
-                    memory.read_words(memmap.page_base(pageno), WORDS_PER_PAGE)
-                )
-            memory.write_word(itag_page_tag_addr(base, npages, pageno), tag)
-    finally:
-        memory.read_ops = saved
+    entries = _peek_words(memory, pagedb_entry_addr(base, 0), npages * 2)
+    for pageno in range(npages):
+        type_word, owner_word = entries[2 * pageno : 2 * pageno + 2]
+        for address, value in _entry_stores(
+            base, npages, pageno, type_word, owner_word
+        ):
+            memory.write_word(address, value)
+        if type_word in _NEVER_TAGGED:
+            tag = 0
+        else:
+            tag = _page_crc(memory, memmap.page_base(pageno))
+        memory.write_word(itag_page_tag_addr(base, npages, pageno), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +370,9 @@ def check_pagedb(
     npages = memmap.secure_pages
     memory = state.memory
     key = (
-        _peek_bytes(memory, pagedb_entry_addr(base, 0), npages * 2 * WORDSIZE),
+        memory.region_bytes(pagedb_entry_addr(base, 0), npages * 2 * WORDSIZE),
         # The replica array is followed directly by the entry checksums.
-        _peek_bytes(memory, itag_replica_addr(base, 0), npages * 3 * WORDSIZE),
+        memory.region_bytes(itag_replica_addr(base, 0), npages * 3 * WORDSIZE),
     )
     agreed = _AGREEING.get(key)
     if agreed is None:
@@ -414,51 +409,90 @@ def _repair_pagedb(
     fixes: List[Tuple[int, int]] = []
     repaired = 0
     for pageno in range(npages):
-        pt, po = primary[2 * pageno], primary[2 * pageno + 1]
-        rt, ro = replica[2 * pageno], replica[2 * pageno + 1]
+        pt, po = primary[2 * pageno : 2 * pageno + 2]
+        rt, ro = replica[2 * pageno : 2 * pageno + 2]
         stored = sums[pageno]
-        entry_addr = pagedb_entry_addr(base, pageno)
-        replica_addr = itag_replica_addr(base, pageno)
-        sum_addr = itag_entry_sum_addr(base, npages, pageno)
-        if (pt, po) == (rt, ro) and entry_checksum(pt, po) == stored:
-            pass
-        elif entry_checksum(pt, po) == stored:  # replica corrupted
-            fixes.extend(((replica_addr, pt), (replica_addr + WORDSIZE, po)))
+        if (pt, po) != (rt, ro) or entry_checksum(pt, po) != stored:
             repaired += 1
-        elif entry_checksum(rt, ro) == stored:  # primary corrupted
-            fixes.extend(((entry_addr, rt), (entry_addr + WORDSIZE, ro)))
-            pt, po = rt, ro
-            repaired += 1
-        elif (pt, po) == (rt, ro):  # checksum corrupted
-            fixes.append((sum_addr, entry_checksum(pt, po)))
-            repaired += 1
-        else:
-            # Multi-word corruption (outside the single-flip model):
-            # trust the primary, rewrite the redundancy around it.
-            fixes.extend(
-                (
-                    (replica_addr, pt),
-                    (replica_addr + WORDSIZE, po),
-                    (sum_addr, entry_checksum(pt, po)),
-                )
-            )
-            repaired += 1
+            redundancy = _entry_stores(base, npages, pageno, pt, po)
+            if entry_checksum(pt, po) == stored:  # replica corrupted
+                fixes.extend(redundancy[:2])
+            elif entry_checksum(rt, ro) == stored:  # primary corrupted
+                entry_addr = pagedb_entry_addr(base, pageno)
+                fixes.extend(((entry_addr, rt), (entry_addr + WORDSIZE, ro)))
+                pt, po = rt, ro
+            elif (pt, po) == (rt, ro):  # checksum corrupted
+                fixes.append(redundancy[2])
+            else:
+                # Multi-word corruption (outside the single-flip model):
+                # trust the primary, rewrite the redundancy around it.
+                fixes.extend(redundancy)
         types[pageno] = pt
         owners[pageno] = po
     return types, owners, fixes, repaired
 
 
-def _page_tags(state: MachineState) -> List[int]:
-    """The content-tag array, read fresh from memory (never memoised,
-    so a flip in a tag word itself is caught)."""
+def _survey(
+    state: MachineState,
+    types: Dict[int, int],
+    owners: Dict[int, int],
+    data_owners: Callable[[List[int]], Set[int]],
+) -> List[int]:
+    """Pages whose content fails their tag, in quarantine order (which
+    sets the journal's op order): the always-tagged pages *metadata*,
+    then the DATA pages owned by ``data_owners(metadata)``, each in page
+    order.  Tags are read fresh, so a flip in a tag word is caught too.
+    """
+    memory = state.memory
+    page_base = state.memmap.page_base
     base = state.memmap.monitor_image.base
     npages = state.memmap.secure_pages
-    return _peek_words(state.memory, itag_page_tag_addr(base, npages, 0), npages)
+    tags = _peek_words(memory, itag_page_tag_addr(base, npages, 0), npages)
+    suspects = [
+        pageno
+        for pageno, type_word in types.items()
+        if type_word in _ALWAYS_TAGGED
+        and _page_crc(memory, page_base(pageno)) != tags[pageno]
+    ]
+    checked = data_owners(suspects)
+    if checked:
+        data = int(PageType.DATA)
+        suspects += [
+            pageno
+            for pageno, type_word in types.items()
+            if type_word == data
+            and owners[pageno] in checked
+            and _page_crc(memory, page_base(pageno)) != tags[pageno]
+        ]
+    return suspects
 
 
-def _tag_mismatch(state: MachineState, tags: List[int], pageno: int) -> bool:
-    """True if page ``pageno``'s content does not match ``tags[pageno]``."""
-    return _page_crc(state.memory, state.memmap.page_base(pageno)) != tags[pageno]
+def _stray_flags(
+    state: MachineState, types: Dict[int, int], owners: Dict[int, int]
+) -> List[Tuple[int, int]]:
+    """``(pageno, owner)`` of each stray quarantine flag: one on a FREE
+    page or whose owner (an addrspace owns itself) is not a STOPPED
+    addrspace.  A genuine quarantine stops the owner in the commit that
+    sets the flag and deallocation clears it, so only a flip strays."""
+    memory = state.memory
+    memmap = state.memmap
+    npages = memmap.secure_pages
+    flags = _peek_words(
+        memory, itag_quarantine_addr(memmap.monitor_image.base, npages, 0), npages
+    )
+    stray = []
+    for pageno, flag in enumerate(flags):
+        if not flag:
+            continue
+        type_word = types[pageno]
+        owner = pageno if type_word == int(PageType.ADDRSPACE) else owners[pageno]
+        if type_word == int(PageType.FREE) or not (
+            types.get(owner) == int(PageType.ADDRSPACE)
+            and _peek(memory, memmap.page_base(owner) + AS_STATE_WORD * WORDSIZE)
+            == int(AddrspaceState.STOPPED)
+        ):
+            stray.append((pageno, owner))
+    return stray
 
 
 def _dirty_addrspaces(state: MachineState) -> Set[int]:
@@ -576,29 +610,13 @@ def precheck(mon: "KomodoMonitor", enter_thread: int = None) -> PrecheckReport:
         return report
     types, owners, fixes, repaired = check_pagedb(state)
     report.repaired = repaired
-    tags = _page_tags(state)
-    suspects: List[int] = []
-    for pageno, type_word in types.items():
-        if type_word in _ALWAYS_TAGGED and _tag_mismatch(state, tags, pageno):
-            suspects.append(pageno)
-    enter_asno = (
-        owners[enter_thread]
-        if enter_thread in types and types[enter_thread] == int(PageType.THREAD)
-        else None
-    )
-    if (
-        enter_asno is not None
-        and types.get(enter_asno) == int(PageType.ADDRSPACE)
-        and enter_asno not in _dirty_addrspaces(state)
-    ):
-        for pageno, type_word in types.items():
-            if (
-                type_word == int(PageType.DATA)
-                and owners[pageno] == enter_asno
-                and pageno not in suspects
-                and _tag_mismatch(state, tags, pageno)
-            ):
-                suspects.append(pageno)
+    entered = set()
+    if enter_thread in types and types[enter_thread] == int(PageType.THREAD):
+        asno = owners[enter_thread]
+        clean = asno not in _dirty_addrspaces(state)
+        if types.get(asno) == int(PageType.ADDRSPACE) and clean:
+            entered = {asno}
+    suspects = _survey(state, types, owners, lambda _metadata: entered)
     if fixes or suspects:
 
         def _contain():
@@ -629,51 +647,22 @@ def scrub(mon: "KomodoMonitor") -> PrecheckReport:
     report.repaired = repaired
     for address, value in fixes:
         _twrite(state, address, value)
-    tags = _page_tags(state)
-    suspects: List[int] = []
+    # DATA pages of a metadata suspect are left to its quarantine.
+    clean = set(owners.values()) - _dirty_addrspaces(state)
+    suspects = _survey(state, types, owners, clean.difference)
     for pageno, type_word in types.items():
-        if type_word in _ALWAYS_TAGGED and _tag_mismatch(state, tags, pageno):
-            suspects.append(pageno)
-    dirty = _dirty_addrspaces(state)
-    distrust = set(suspects)
-    for pageno, type_word in types.items():
-        if (
-            type_word == int(PageType.DATA)
-            and owners[pageno] not in dirty
-            and owners[pageno] not in distrust
-            and _tag_mismatch(state, tags, pageno)
+        page_base = memmap.page_base(pageno)
+        if type_word in _NEVER_TAGGED and any(
+            _peek_words(state.memory, page_base, WORDS_PER_PAGE)
         ):
-            suspects.append(pageno)
-    for pageno, type_word in types.items():
-        if type_word in _NEVER_TAGGED:
-            content = _peek_words(
-                state.memory, memmap.page_base(pageno), WORDS_PER_PAGE
-            )
-            if any(content):
-                _tzero(state, memmap.page_base(pageno))
-                report.healed += 1
+            _tzero(state, page_base)
+            report.healed += 1
     base = memmap.monitor_image.base
     npages = memmap.secure_pages
-    # Heal corrupted engine flags.  A genuine quarantine stops its owner
-    # in the same commit that sets the flag, and a genuine dirty flag
-    # belongs to an addrspace page — any other combination can only be a
-    # flip landing in the flag arrays themselves.
-    quar_flags = _peek_words(
-        state.memory, itag_quarantine_addr(base, npages, 0), npages
-    )
-    for pageno, flag in enumerate(quar_flags):
-        if not flag or pageno in suspects:
-            continue
-        type_word = types[pageno]
-        owner = pageno if type_word == int(PageType.ADDRSPACE) else owners[pageno]
-        owner_stopped = (
-            types.get(owner) == int(PageType.ADDRSPACE)
-            and _peek(
-                state.memory, memmap.page_base(owner) + AS_STATE_WORD * WORDSIZE
-            )
-            == int(AddrspaceState.STOPPED)
-        )
-        if type_word == int(PageType.FREE) or not owner_stopped:
+    # Heal corrupted engine flags: stray quarantine flags, and dirty
+    # flags off addrspace pages (a genuine one belongs to an addrspace).
+    for pageno, _owner in _stray_flags(state, types, owners):
+        if pageno not in suspects:
             _twrite(state, itag_quarantine_addr(base, npages, pageno), 0)
             report.healed += 1
     dirty_flags = _peek_words(state.memory, itag_dirty_addr(base, npages, 0), npages)
@@ -735,43 +724,25 @@ def consistency_problems(state: MachineState) -> List[str]:
     """Raw engine-level consistency walk for post-injection audits.
 
     Checks, with the machine quiescent: PageDB triple redundancy agrees;
-    every expected-live tag matches its page; every quarantine flag sits
-    on a page whose owner is stopped.  Shares the arbitration code with
-    the engine on purpose — the *independent* cross-check is the dual
-    spec+machine audit in ``repro.faults.audit``, which never reads tags.
+    every expected-live tag matches its page (:func:`_survey` over every
+    clean owner); no quarantine flag is stray (:func:`_stray_flags`).
+    Shares these rules with the engine on purpose — the *independent*
+    cross-check is the dual spec+machine audit in ``repro.faults.audit``,
+    which never reads tags.
     """
     if not enabled(state):
         return []
     problems: List[str] = []
-    memmap = state.memmap
-    base = memmap.monitor_image.base
-    npages = memmap.secure_pages
     types, owners, fixes, _repaired = check_pagedb(state)
     if fixes:
         problems.append(f"pagedb redundancy disagrees ({len(fixes)} pending fixes)")
-    dirty = _dirty_addrspaces(state)
-    tags = _page_tags(state)
-    for pageno, type_word in types.items():
-        expected = type_word in _ALWAYS_TAGGED or (
-            type_word == int(PageType.DATA) and owners[pageno] not in dirty
-        )
-        if expected and _tag_mismatch(state, tags, pageno):
-            problems.append(f"page {pageno} content does not match its tag")
-    flags = _peek_words(state.memory, itag_quarantine_addr(base, npages, 0), npages)
-    for pageno, flag in enumerate(flags):
-        if not flag:
-            continue
+    clean = set(owners.values()) - _dirty_addrspaces(state)
+    for pageno in sorted(_survey(state, types, owners, lambda _metadata: clean)):
+        problems.append(f"page {pageno} content does not match its tag")
+    for pageno, owner in _stray_flags(state, types, owners):
         if types[pageno] == int(PageType.FREE):
             problems.append(f"free page {pageno} still flagged quarantined")
-            continue
-        owner = pageno if types[pageno] == int(PageType.ADDRSPACE) else owners[pageno]
-        state_word = _peek(
-            state.memory, memmap.page_base(owner) + AS_STATE_WORD * WORDSIZE
-        )
-        if (
-            types.get(owner) != int(PageType.ADDRSPACE)
-            or state_word != int(AddrspaceState.STOPPED)
-        ):
+        else:
             problems.append(
                 f"quarantined page {pageno}: owner {owner} is not a stopped addrspace"
             )

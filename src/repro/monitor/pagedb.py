@@ -14,7 +14,7 @@ and writes go through the machine state and are charged cycles.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.arm.bits import WORDSIZE
 from repro.arm.machine import MachineState
@@ -84,16 +84,6 @@ class PageDB:
 
     def is_free(self, pageno: int) -> bool:
         return self.page_type(pageno) is PageType.FREE
-
-    def pages_owned_by(self, addrspace: int) -> List[int]:
-        """All allocated pages owned by ``addrspace`` (excluding itself)."""
-        owned = []
-        for pageno in range(self.npages):
-            if pageno == addrspace:
-                continue
-            if self.page_type(pageno) is not PageType.FREE and self.owner(pageno) == addrspace:
-                owned.append(pageno)
-        return owned
 
     # -- page word access ------------------------------------------------------
 
@@ -239,20 +229,6 @@ class PageDB:
         return gprs, sp, lr, pc, cpsr
 
     # -- common validity checks (shared by SMC and SVC handlers) ----------------
-
-    def addrspace_of(self, pageno: int) -> Optional[int]:
-        """The addrspace owning ``pageno`` if it is a valid allocated page."""
-        if not self.valid_pageno(pageno):
-            return None
-        if self.page_type(pageno) is PageType.FREE:
-            return None
-        return self.owner(pageno)
-
-    def is_addrspace(self, pageno: int) -> bool:
-        return (
-            self.valid_pageno(pageno)
-            and self.page_type(pageno) is PageType.ADDRSPACE
-        )
 
     def live_addrspaces(self) -> List[int]:
         """Pagenos of every allocated ADDRSPACE page, in page order.

@@ -39,8 +39,9 @@ class TestConstraintStore:
         store, var = _store_with(domain=range(4))
         store.assert_true(("c", "ge", var, 2))
         assert store.feasible(("c", "eq", var, 3))
-        assert not store.entailed(("c", "eq", var, 3))
-        assert store.entailed(("c", "ge", var, 1))
+        # eq 3 is not entailed (its negation is feasible); ge 1 is.
+        assert store.feasible(("c", "ne", var, 3))
+        assert not store.feasible(("c", "lt", var, 1))
 
     def test_var_var_arc_consistency(self):
         store = ConstraintStore()

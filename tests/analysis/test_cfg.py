@@ -38,7 +38,8 @@ class TestBlocksAndEdges:
         asm.label("done")
         asm.svc(SVC.EXIT)
         cfg = build_cfg(words_of(asm))
-        branch_block = cfg.block_at(1)
+        branch_block = cfg.blocks[0]  # cmpi; beq
+        assert branch_block.end == 2
         assert sorted(branch_block.successors) == [2, 3]
 
     def test_call_edges_to_callee_and_return_site(self):
@@ -49,8 +50,8 @@ class TestBlocksAndEdges:
         asm.label("func")
         asm.bxlr()
         cfg = build_cfg(words_of(asm))
-        assert sorted(cfg.block_at(0).successors) == [1, 2]
-        assert cfg.block_at(2).successors == []  # return is indirect
+        assert sorted(cfg.blocks[0].successors) == [1, 2]
+        assert cfg.blocks[2].successors == []  # return is indirect
 
     def test_self_loop(self):
         """``b .`` (spin) is a one-instruction block whose successor is
@@ -76,11 +77,9 @@ class TestBlocksAndEdges:
         ]
         cfg = build_cfg(words)
         assert 2 in cfg.blocks  # the movt starts its own block
-        assert cfg.block_at(1).start == 1
-        assert cfg.block_at(2).start == 2
+        assert sorted(cfg.blocks) == [0, 1, 2]
         # The movw half is unreachable, the movt half reachable.
-        reachable = cfg.reachable_indices()
-        assert 2 in reachable and 1 not in reachable
+        assert 2 in cfg.reachable and 1 not in cfg.reachable
 
     def test_entry_in_the_middle(self):
         asm = Assembler()
@@ -89,7 +88,9 @@ class TestBlocksAndEdges:
         asm.svc(SVC.EXIT)
         cfg = build_cfg(words_of(asm), entry_index=1)
         assert cfg.entry == 1
-        assert 0 not in cfg.reachable_indices()
+        # Word 0 precedes the entry: no block, reachable or not, holds it.
+        assert cfg.reachable == {1}
+        assert all(0 not in block for block in cfg.blocks.values())
 
     def test_entry_outside_region_rejected(self):
         with pytest.raises(ValueError):

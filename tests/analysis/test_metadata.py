@@ -93,20 +93,10 @@ class TestClassification:
         bx = metadata(Instruction("bxlr"))
         assert bx.is_return and bx.reads == (REG_LR,)
 
-    def test_fall_through(self):
-        assert not metadata(Instruction("b", imm=1)).falls_through
-        assert metadata(Instruction("beq", imm=1)).falls_through
-        assert metadata(Instruction("bl", imm=1)).falls_through
-        assert not metadata(Instruction("bxlr")).falls_through
-        assert not metadata(Instruction("udf")).falls_through
-        assert not metadata(Instruction("smc", imm=1)).falls_through
-        assert metadata(Instruction("nop")).falls_through
-
     def test_memory_classes(self):
         assert metadata(Instruction("ldr", rd=1, rn=2)).memory == "load"
         assert metadata(Instruction("strr", rd=1, rn=2, rm=3)).memory == "store"
-        assert metadata(Instruction("ldr", rd=1, rn=2)).is_memory_op
-        assert not metadata(Instruction("add", rd=1, rn=2, rm=3)).is_memory_op
+        assert metadata(Instruction("add", rd=1, rn=2, rm=3)).memory is None
 
     def test_store_reads_its_data_register(self):
         assert 1 in metadata(Instruction("str", rd=1, rn=2)).reads

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arm.assembler import Assembler
-from repro.arm.disassembler import disassemble, disassemble_word, dump_page, render
+from repro.arm.disassembler import disassemble, disassemble_word, render
 from repro.arm.instructions import FORMATS, Instruction, decode, encode
 
 
@@ -67,23 +67,3 @@ class TestRoundTrip:
         lines = disassemble([encode(Instruction("nop"))] * 3, base_va=0x2000)
         assert lines[0].startswith("0x00002000:")
         assert lines[2].startswith("0x00002008:")
-
-
-class TestDumpPage:
-    def test_dumps_enclave_code_page(self):
-        """The forensic use case: disassemble a measured code page."""
-        from repro.monitor.komodo import KomodoMonitor
-        from repro.monitor.layout import SVC
-        from repro.osmodel.kernel import OSKernel
-        from repro.sdk.builder import CODE_VA, EnclaveBuilder
-
-        monitor = KomodoMonitor(secure_pages=16)
-        kernel = OSKernel(monitor)
-        asm = Assembler()
-        asm.add("r0", "r0", "r1")
-        asm.svc(SVC.EXIT)
-        enclave = EnclaveBuilder(kernel).add_code(asm).add_thread(CODE_VA).build()
-        page = enclave.data_pages[CODE_VA]
-        text = dump_page(monitor.state.memory, monitor.pagedb.page_base(page))
-        assert "add r0, r0, r1" in text
-        assert f"svc #{int(SVC.EXIT)}" in text

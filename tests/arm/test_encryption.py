@@ -9,6 +9,7 @@ from repro.crypto.rng import HardwareRNG
 from repro.monitor.komodo import KomodoMonitor
 from tests.arm.test_memory import (
     assert_region_bytes_matches_read_words,
+    assert_region_bytes_touches_no_counters,
     spans_and_stores,
 )
 
@@ -108,6 +109,10 @@ class TestRegionBytes:
     def test_equals_packed_plaintext_read_words(self, case):
         memory = EncryptedMemory(_MAP, device_key=0xABCD)
         assert_region_bytes_matches_read_words(memory, *case)
+
+    def test_touches_no_counters_or_dirty_tracking(self, env):
+        memmap, memory = env
+        assert_region_bytes_touches_no_counters(memory, memmap)
 
     def test_tampered_secure_word_raises(self, env):
         memmap, memory = env

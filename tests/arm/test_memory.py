@@ -205,6 +205,30 @@ def assert_region_bytes_matches_read_words(memory, address, count, stores):
     assert memory.region_bytes(address, count * 4) == expected
 
 
+def assert_region_bytes_touches_no_counters(memory, memmap):
+    """``region_bytes`` of every region (secure ones included) is not a
+    read transaction and leaves dirty tracking alone."""
+    memory.write_word(memmap.page_base(1), 3)
+    memory.write_word(memmap.insecure.base, 4)
+    memory._snap_token = 5
+    before = (
+        memory.read_ops,
+        memory.write_ops,
+        memory.generation,
+        set(memory._dirty),
+        memory._snap_token,
+    )
+    for region in memmap.regions():
+        memory.region_bytes(region.base, region.size)
+    assert (
+        memory.read_ops,
+        memory.write_ops,
+        memory.generation,
+        memory._dirty,
+        memory._snap_token,
+    ) == before
+
+
 _MAP = MemoryMap(secure_pages=8)
 
 
@@ -223,25 +247,7 @@ class TestRegionBytes:
         assert differing_words(insecure.base, before, after) == [insecure.base + 8]
 
     def test_touches_no_counters_or_dirty_tracking(self, memory, memmap):
-        memory.write_word(memmap.page_base(1), 3)
-        memory.write_word(memmap.insecure.base, 4)
-        memory._snap_token = 5
-        before = (
-            memory.read_ops,
-            memory.write_ops,
-            memory.generation,
-            set(memory._dirty),
-            memory._snap_token,
-        )
-        for region in memmap.regions():
-            memory.region_bytes(region.base, region.size)
-        assert (
-            memory.read_ops,
-            memory.write_ops,
-            memory.generation,
-            memory._dirty,
-            memory._snap_token,
-        ) == before
+        assert_region_bytes_touches_no_counters(memory, memmap)
 
     @pytest.mark.parametrize(
         "delta, size",

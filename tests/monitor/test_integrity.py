@@ -1,10 +1,14 @@
 """The memory-integrity engine: tags, repair, quarantine, scrub."""
 
+import re
+
 import pytest
 
 from repro.arm.assembler import Assembler
 from repro.arm.bits import WORDSIZE
-from repro.arm.memory import WORDS_PER_PAGE
+from repro.arm.encryption import EncryptedMemory
+from repro.arm.machine import MachineState
+from repro.arm.memory import WORDS_PER_PAGE, MemoryMap, PhysicalMemory
 from repro.faults.audit import audit_monitor, integrity_consistency
 from repro.monitor import integrity
 from repro.monitor.errors import KomErr
@@ -371,3 +375,103 @@ class TestTagAddressing:
             addresses.add(itag_quarantine_addr(base, npages, pageno))
             addresses.add(itag_dirty_addr(base, npages, pageno))
         assert len(addresses) == 6 * npages
+
+
+def _flag_quarantined(state, pageno):
+    state.flip_bit(
+        itag_quarantine_addr(
+            state.memmap.monitor_image.base, state.memmap.secure_pages, pageno
+        ),
+        0,
+    )
+
+
+class TestSharedRules:
+    """``scrub`` and the audit walk apply one stray-flag rule and one
+    tag-mismatch rule, and verification never counts a read."""
+
+    @pytest.mark.parametrize(
+        "where", [("free",), ("live",), ("stopped",), ("free", "live", "stopped")]
+    )
+    def test_audit_names_exactly_the_flags_scrub_heals(self, env, where):
+        monitor, kernel = env
+        stopped = build_enclave(kernel)
+        live = build_enclave(kernel)
+        kernel.smc_checked(SMC.STOP, stopped.as_page)
+        free_page = monitor.state.memmap.secure_pages - 1
+        assert monitor.pagedb.page_type(free_page) is PageType.FREE
+        # A FREE entry's owner word is 0: the stopped addrspace, so only
+        # the FREE clause makes that flag stray.
+        assert (monitor.pagedb.owner(free_page), stopped.as_page) == (0, 0)
+        pages = {"free": free_page, "live": live.thread, "stopped": stopped.thread}
+        state = monitor.state
+        for name in where:
+            _flag_quarantined(state, pages[name])
+        named = sorted(
+            int(re.search(r"page (\d+)", problem).group(1))
+            for problem in integrity.consistency_problems(state)
+        )
+        flagged = set(integrity.quarantined_pages(state))
+        fixed, quarantined = kernel.scrub()
+        healed = sorted(flagged - set(integrity.quarantined_pages(state)))
+        assert quarantined == 0
+        assert named == healed == sorted(pages[n] for n in where if n != "stopped")
+        assert fixed == len(healed)
+        assert integrity.consistency_problems(state) == []
+
+    def test_stray_rule_checks_the_owner_type_first(self, env):
+        """An owner word naming no page (primary and replica corrupted
+        alike, so the repair rewrites the checksum) makes a flag stray;
+        the missing owner's state word is never read."""
+        monitor, kernel = env
+        enclave = build_enclave(kernel)
+        state = monitor.state
+        base = state.memmap.monitor_image.base
+        bogus = state.memmap.secure_pages + 5
+        thread = enclave.thread
+        for entry in (pagedb_entry_addr(base, thread), itag_replica_addr(base, thread)):
+            state.memory.write_word(entry + WORDSIZE, bogus)
+        _flag_quarantined(state, thread)
+        assert integrity.consistency_problems(state) == [
+            "pagedb redundancy disagrees (1 pending fixes)",
+            f"quarantined page {thread}: owner {bogus} is not a stopped addrspace",
+        ]
+
+    def test_survey_lists_metadata_before_data(self, env):
+        """The survey's order is the quarantine order (and so the
+        journal's): always-tagged pages first, then DATA pages."""
+        monitor, kernel = env
+        enclave = build_enclave(kernel)
+        state = monitor.state
+        code_page = enclave.data_pages[CODE_VA]
+        assert code_page < enclave.thread
+        for page in (code_page, enclave.thread):
+            state.flip_bit(state.memmap.page_base(page), 1)
+        types, owners, _fixes, _repaired = integrity.check_pagedb(state)
+        owned = {enclave.as_page}
+        suspects = integrity._survey(state, types, owners, lambda _metadata: owned)
+        assert suspects == [enclave.thread, code_page]
+
+    def test_scrub_leaves_data_of_a_metadata_suspect_to_its_quarantine(self, env):
+        monitor, kernel = env
+        enclave = build_enclave(kernel)
+        state = monitor.state
+        code_page = enclave.data_pages[CODE_VA]
+        state.flip_bit(state.memmap.page_base(enclave.as_page) + 7 * WORDSIZE, 3)
+        state.flip_bit(state.memmap.page_base(code_page), 5)
+        _fixed, quarantined = kernel.scrub()
+        assert quarantined == 1
+        assert integrity.quarantined_pages(state) == [enclave.as_page]
+
+    @pytest.mark.parametrize("encrypted", [False, True], ids=["plain", "encrypted"])
+    def test_clean_verification_counts_no_reads(self, encrypted):
+        memmap = MemoryMap(secure_pages=16)
+        memory = EncryptedMemory(memmap) if encrypted else PhysicalMemory(memmap)
+        monitor = KomodoMonitor(state=MachineState(memmap=memmap, memory=memory))
+        enclave = build_enclave(OSKernel(monitor))
+        before = memory.read_ops
+        report = integrity.precheck(monitor, enter_thread=enclave.thread)
+        assert (report.repaired, report.quarantined) == (0, [])
+        assert integrity.consistency_problems(monitor.state) == []
+        assert integrity.quarantined_pages(monitor.state) == []
+        assert memory.read_ops == before

@@ -38,13 +38,6 @@ class TestEntryArray:
         assert pagedb.state.memory.read_word(base) == int(PageType.THREAD)
         assert pagedb.state.memory.read_word(base + 4) == 5
 
-    def test_pages_owned_by(self, pagedb):
-        pagedb.set_entry(0, PageType.ADDRSPACE, 0)
-        pagedb.set_entry(1, PageType.L1PTABLE, 0)
-        pagedb.set_entry(2, PageType.DATA, 0)
-        pagedb.set_entry(3, PageType.DATA, 4)
-        assert pagedb.pages_owned_by(0) == [1, 2]
-
     def test_valid_pageno(self, pagedb):
         assert pagedb.valid_pageno(0)
         assert pagedb.valid_pageno(7)
@@ -117,21 +110,6 @@ class TestThreadMetadata:
 
 
 class TestQueries:
-    def test_addrspace_of(self, pagedb):
-        pagedb.set_entry(0, PageType.ADDRSPACE, 0)
-        pagedb.set_entry(1, PageType.DATA, 0)
-        assert pagedb.addrspace_of(1) == 0
-        assert pagedb.addrspace_of(0) == 0
-        assert pagedb.addrspace_of(5) is None  # free
-        assert pagedb.addrspace_of(99) is None  # out of range
-
-    def test_is_addrspace(self, pagedb):
-        pagedb.set_entry(0, PageType.ADDRSPACE, 0)
-        pagedb.set_entry(1, PageType.DATA, 0)
-        assert pagedb.is_addrspace(0)
-        assert not pagedb.is_addrspace(1)
-        assert not pagedb.is_addrspace(99)
-
     def test_cycle_charges_accrue(self, pagedb):
         before = pagedb.state.cycles
         pagedb.page_type(0)

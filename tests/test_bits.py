@@ -20,19 +20,10 @@ class TestBasics:
         assert bits.to_word(0x1_0000_0001) == 1
         assert bits.to_word(-1) == 0xFFFFFFFF
 
-    def test_is_word(self):
-        assert bits.is_word(0)
-        assert bits.is_word(0xFFFFFFFF)
-        assert not bits.is_word(-1)
-        assert not bits.is_word(0x1_0000_0000)
-
     def test_alignment(self):
         assert bits.word_aligned(0)
         assert bits.word_aligned(4)
         assert not bits.word_aligned(2)
-        assert bits.align_down(0x1005, 0x1000) == 0x1000
-        assert bits.align_up(0x1001, 0x1000) == 0x2000
-        assert bits.align_up(0x1000, 0x1000) == 0x1000
 
 
 class TestArithmetic:
@@ -51,7 +42,7 @@ class TestArithmetic:
     def test_signed_roundtrip(self):
         assert bits.to_signed(0xFFFFFFFF) == -1
         assert bits.to_signed(0x7FFFFFFF) == 0x7FFFFFFF
-        assert bits.from_signed(-1) == 0xFFFFFFFF
+        assert bits.to_word(bits.to_signed(0x80000000)) == 0x80000000
 
     @given(words, words)
     def test_add_matches_modular(self, a, b):
@@ -59,7 +50,7 @@ class TestArithmetic:
 
     @given(words)
     def test_signed_roundtrips(self, a):
-        assert bits.from_signed(bits.to_signed(a)) == a
+        assert bits.to_word(bits.to_signed(a)) == a
 
 
 class TestShifts:
@@ -103,7 +94,6 @@ class TestBitfields:
     def test_get_set_bits(self):
         assert bits.get_bits(0xABCD1234, 15, 0) == 0x1234
         assert bits.get_bits(0xABCD1234, 31, 16) == 0xABCD
-        assert bits.set_bits(0, 15, 8, 0xFF) == 0xFF00
 
     @given(words, st.integers(0, 31), st.integers(0, 31))
     def test_get_bits_within_range(self, a, hi, lo):
