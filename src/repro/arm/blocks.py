@@ -36,10 +36,10 @@ original per-block compiler, all bit-identical to the reference engine:
   keystream and tags must not be bypassed), loads and stores hit the
   flat word store directly through the micro-TLB, falling back to the
   engine's ``_load``/``_store`` helpers for misses, faults, and
-  unmapped physical targets.  Read/write transaction counts, cycle
-  charges, and ``memory.generation`` bumps are accumulated in locals
-  and flushed in the ``finally`` block — they are observable only
-  between runs, so deferral is invisible.
+  unmapped physical targets.  Cycle charges and ``memory.generation``
+  bumps are accumulated in locals and flushed in the ``finally``
+  block — they are observable only between runs, so deferral is
+  invisible.
 
 * **Untraced/traced variants** — regions compiled for a CPU without an
   ``access_trace`` omit trace bookkeeping entirely; attaching a trace
@@ -683,12 +683,9 @@ def compile_region(
         else:
             cycle_terms += " + gw * _cm"
     emit(f"        state.cycles = state.cycles + {cycle_terms}")
-    if inline and has_load:
-        emit("        _mem.read_ops = _mem.read_ops + nr")
     if inline and has_store:
         emit("        if gw:")
         emit("            _mem.generation = _mem.generation + gw")
-        emit("            _mem.write_ops = _mem.write_ops + gw")
     for index in sorted(writes):
         if index == 13:
             emit("        regs.sp_bank[_USRB] = r13_")

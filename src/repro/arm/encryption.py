@@ -121,28 +121,16 @@ class EncryptedMemory(PhysicalMemory):
     def read_words(self, address: int, count: int) -> List[int]:
         return [self.read_word(address + i * WORDSIZE) for i in range(count)]
 
-    def view_words(self, address: int, count: int) -> List[int]:
-        # Never the base class's zero-copy window: a raw view would hand
-        # out ciphertext and skip tag verification.  Word-wise like every
-        # other bulk op here (one read transaction per word).
-        return self.read_words(address, count)
-
     def region_bytes(self, base: int, size: int) -> bytes:
         # Insecure spans are stored in plaintext: the base slice.  A span
         # touching a protected region is read through the engine, so the
         # fingerprint is plaintext and a tampered word still raises
-        # ``IntegrityViolation``.  As on the base class, not a read
-        # transaction: the engine's per-word reads are not counted.
+        # ``IntegrityViolation``.
         raw = super().region_bytes(base, size)  # faults like the base class
         insecure = self.map.insecure
         if insecure.base <= base and base + size <= insecure.limit:
             return raw
-        saved = self.read_ops
-        try:
-            words = self.read_words(base, size // WORDSIZE)
-        finally:
-            self.read_ops = saved
-        return array(_TYPECODE, words).tobytes()
+        return array(_TYPECODE, self.read_words(base, size // WORDSIZE)).tobytes()
 
     def write_words(self, address: int, values: Iterable[int]) -> None:
         words = list(values)

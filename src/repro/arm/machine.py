@@ -228,22 +228,16 @@ class MachineState:
         """Model a DRAM disturbance: invert one bit of a stored word.
 
         This is not a CPU access — it bypasses world checks, charges no
-        cycles, counts no read transaction, and does not pass through an
-        open transaction's buffer (the flip hits the physical cell, not
-        the monitor's pending store).  TLB consistency is poisoned as
-        for any store so cached translations cannot outlive the flipped
-        word.  Returns the new word value.
+        cycles, and does not pass through an open transaction's buffer
+        (the flip hits the physical cell, not the monitor's pending
+        store).  TLB consistency is poisoned as for any store so cached
+        translations cannot outlive the flipped word.  Returns the new
+        word value.
         """
         if not 0 <= bit < 32:
             raise ValueError(f"bit index {bit} out of range")
-        memory = self.memory
-        saved_reads, saved_writes = memory.read_ops, memory.write_ops
-        try:
-            value = memory.read_word(address) ^ (1 << bit)
-            memory.write_word(address, value)
-        finally:
-            memory.read_ops = saved_reads
-            memory.write_ops = saved_writes
+        value = self.memory.read_word(address) ^ (1 << bit)
+        self.memory.write_word(address, value)
         return value
 
     # -- snapshots -----------------------------------------------------------

@@ -15,12 +15,10 @@ Storage is a flat ``bytearray`` covering the whole RAM range (the
 regions tile one contiguous span by construction) viewed through a
 ``memoryview`` cast to native 32-bit words, so word access is an index
 operation and the bulk page helpers — zero, copy, burst read/write,
-the zero-copy ``view_words`` window, and the ``region_bytes``
-fingerprint that memory-region comparisons and digests use — are single
-slice operations.  ``region_bytes`` is not a read transaction on either
-memory class (``EncryptedMemory`` reads protected spans through its
-engine but does not count those reads), so verifiers fingerprint memory
-without moving ``read_ops``.
+and the ``region_bytes`` fingerprint that memory-region comparisons and
+digests use — are single slice operations.  Reads have no side effect
+on either memory class, so verifiers read and fingerprint memory
+freely.
 This module owns what a store implies: every mutator marks the pages
 it wrote dirty, bumps ``generation`` and, on a store into a live page
 table, poisons the TLB bound by ``watch`` (paper section 5.1).  Only the
@@ -43,11 +41,7 @@ integrity engine's page CRCs and the campaign audit's table scans use
 it (see DESIGN.md, "Memory integrity & graceful degradation").
 ``generation`` counts every mutation; the fast-path execution engine
 uses it to invalidate its decoded-instruction cache (see DESIGN.md,
-"Fast-path engine").  ``read_ops`` and ``write_ops`` count read/write
-*transactions* — a bulk ``read_words`` or ``zero_page`` is one burst —
-which the page-table walker's regression tests use to pin its access
-complexity and the turbo engine's tests use to pin the inline
-memory-path accounting.
+"Fast-path engine").
 """
 
 from __future__ import annotations
@@ -221,10 +215,6 @@ class PhysicalMemory:
         self._store = memoryview(self._buf).cast(_TYPECODE)
         #: Bumped on every mutation; invalidates fast-path caches.
         self.generation = 0
-        #: Read transactions issued (a bulk read counts once).
-        self.read_ops = 0
-        #: Write transactions issued (a bulk zero/copy/write counts once).
-        self.write_ops = 0
         #: Pages (``offset >> 12``) written since the last snapshot
         #: anchor.  Mutated in place only — the turbo engine bakes this
         #: set's identity into compiled code, exactly like ``_store``.
@@ -256,7 +246,6 @@ class PhysicalMemory:
     def read_word(self, address: int) -> int:
         offset = address - self._base
         if not offset & 3 and 0 <= offset < self._size:
-            self.read_ops += 1
             return self._store[offset >> 2]
         raise self._fault(address, "read")
 
@@ -272,7 +261,6 @@ class PhysicalMemory:
             self._store[offset >> 2] = value & 0xFFFFFFFF
             self._dirty.add(offset >> 12)
             self.generation += 1
-            self.write_ops += 1
             return
         raise self._fault(address, "write")
 
@@ -311,22 +299,7 @@ class PhysicalMemory:
         if count == 0:
             return []
         start = self._span(address, count)
-        self.read_ops += 1
         return self._store[start : start + count].tolist()
-
-    def view_words(self, address: int, count: int):
-        """Zero-copy read-only window over ``count`` words at ``address``.
-
-        One read transaction, like ``read_words``, but without
-        materialising a list: page-table scans and hash ingestion index
-        straight into the backing store.  The view is read-only and
-        *live* — it observes later stores — so callers must consume it
-        before mutating memory.  ``EncryptedMemory`` overrides this
-        word-wise (every word must pass through the engine).
-        """
-        start = self._span(address, count)
-        self.read_ops += 1
-        return self._store[start : start + count].toreadonly()
 
     def write_words(self, address: int, values: Iterable[int]) -> None:
         words = [value & 0xFFFFFFFF for value in values]
@@ -350,7 +323,6 @@ class PhysicalMemory:
     def copy_page(self, src: int, dst: int) -> None:
         """Copy one page from ``src`` to ``dst`` (one bulk byte slice)."""
         src_off = self._span(src, WORDS_PER_PAGE) << 2
-        self.read_ops += 1
         offset = dst - self._base
         if offset & 3 or offset < 0 or offset + PAGE_SIZE > self._size:
             raise self._fault(dst, "write")
@@ -360,22 +332,20 @@ class PhysicalMemory:
         self._stored(offset, PAGE_SIZE)
 
     def _stored(self, offset: int, nbytes: int) -> None:
-        """Account one burst store of ``nbytes`` at ``offset``.  Word
+        """Record one burst store of ``nbytes`` at ``offset``.  Word
         alignment suffices, so a page-long span may straddle two pages."""
         self._dirty.update(range(offset >> 12, (offset + nbytes - 1 >> 12) + 1))
         self.generation += 1
-        self.write_ops += 1
         self._poison(self._base + offset, nbytes)
 
     def region_bytes(self, base: int, size: int) -> bytes:
         """Immutable copy of the ``size`` bytes at ``base``: one slice.
 
         The fingerprint that region comparisons (``==``) and digests
-        use.  It neither reads nor changes the dirty-page set and is not
-        a read transaction; a misaligned or out-of-range span faults
-        like every bulk read.  ``EncryptedMemory`` overrides it for
-        protected spans (their plaintext must pass the engine, still
-        without counting a read).
+        use.  It neither reads nor changes the dirty-page set; a
+        misaligned or out-of-range span faults like every bulk read.
+        ``EncryptedMemory`` overrides it for protected spans (their
+        plaintext must pass the engine).
         """
         if size % WORDSIZE or size < 0:
             raise MemoryFault(base, f"region size {size:#x} is not whole words")
@@ -394,7 +364,7 @@ class PhysicalMemory:
         return None if page in self._dirty else self._stamps[page]
 
     def checkpoint(self) -> "MemoryCheckpoint":
-        """Capture contents and counters, and re-anchor the dirty set: it
+        """Capture contents and re-anchor the dirty set: it
         now records exactly the pages that diverge from this checkpoint.
         Every dirty page is stamped with the checkpoint's token first."""
         token = next(_SNAP_TOKENS)
@@ -410,8 +380,6 @@ class PhysicalMemory:
             bytes(self._buf),
             tuple(stamps),
             self.generation,
-            self.read_ops,
-            self.write_ops,
         )
 
     def rewind(self, cp: "MemoryCheckpoint") -> None:
@@ -436,8 +404,6 @@ class PhysicalMemory:
             self._snap_token = cp.token
         dirty.clear()
         self.generation = cp.generation
-        self.read_ops = cp.read_ops
-        self.write_ops = cp.write_ops
 
     def __deepcopy__(self, memo):
         # The word-cast memoryview is not picklable/deep-copyable;
@@ -465,8 +431,6 @@ class MemoryCheckpoint(NamedTuple):
     store: bytes
     stamps: Tuple[int, ...]
     generation: int
-    read_ops: int
-    write_ops: int
     engine: Optional[object] = None
 
 

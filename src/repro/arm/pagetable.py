@@ -18,7 +18,7 @@ preserves the API (``InitL2PTable(l1index)``) and every invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.arm.bits import WORDSIZE, get_bits
 from repro.arm.memory import PAGE_SIZE, PhysicalMemory
@@ -139,32 +139,3 @@ class PageTableWalker:
             executable=bool(l2_entry & PERM_X),
             secure=bool(l2_entry & PERM_SECURE),
         )
-
-    def writable_frames(self, l1_base: int) -> List[int]:
-        """Physical bases of every frame mapped writable under ``l1_base``.
-
-        This is the set the paper's model havocs after user execution:
-        user code may have modified exactly these frames.
-        """
-        frames = []
-        # view_words: zero-copy scans (same one-transaction accounting
-        # as read_words); nothing mutates memory while the views live.
-        for l1_entry in self.memory.view_words(l1_base, L1_ENTRIES):
-            if entry_type(l1_entry) != DESC_L1_COARSE:
-                continue
-            for l2_entry in self.memory.view_words(entry_target(l1_entry), L2_ENTRIES):
-                if entry_type(l2_entry) == DESC_L2_SMALL and l2_entry & PERM_W:
-                    frames.append(entry_target(l2_entry))
-        return frames
-
-    def mapped_vaddrs(self, l1_base: int) -> List[int]:
-        """Page-aligned virtual addresses with a valid mapping."""
-        vaddrs = []
-        for i, l1_entry in enumerate(self.memory.view_words(l1_base, L1_ENTRIES)):
-            if entry_type(l1_entry) != DESC_L1_COARSE:
-                continue
-            l2_entries = self.memory.view_words(entry_target(l1_entry), L2_ENTRIES)
-            for j, l2_entry in enumerate(l2_entries):
-                if entry_type(l2_entry) == DESC_L2_SMALL:
-                    vaddrs.append((i << 22) | (j << 12))
-        return vaddrs

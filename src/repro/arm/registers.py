@@ -16,11 +16,6 @@ from typing import Dict
 from repro.arm.bits import WORD_MASK, get_bit, set_bit, to_word
 from repro.arm.modes import BANKED_MODES, SPSR_MODES, Mode, bank_for
 
-#: Symbolic register names accepted by the instruction operands.
-GENERAL_REGISTERS = tuple(f"r{i}" for i in range(13))
-SPECIAL_REGISTERS = ("sp", "lr")
-ALL_OPERAND_REGISTERS = GENERAL_REGISTERS + SPECIAL_REGISTERS
-
 # CPSR bit positions (architectural).
 CPSR_N_BIT = 31
 CPSR_Z_BIT = 30
@@ -145,44 +140,7 @@ class RegisterFile:
             raise KeyError(f"mode {mode} has no SPSR")
         self.spsr_bank[mode] = psr.copy()
 
-    # -- operand-level access ------------------------------------------
-
-    def read_operand(self, name: str) -> int:
-        """Read a register by operand name ('r0'..'r12', 'sp', 'lr')."""
-        if name in GENERAL_REGISTERS:
-            return self.read_gpr(int(name[1:]))
-        if name == "sp":
-            return self.read_sp()
-        if name == "lr":
-            return self.read_lr()
-        raise KeyError(f"unknown register operand {name!r}")
-
-    def write_operand(self, name: str, value: int) -> None:
-        """Write a register by operand name."""
-        if name in GENERAL_REGISTERS:
-            self.write_gpr(int(name[1:]), value)
-        elif name == "sp":
-            self.write_sp(value)
-        elif name == "lr":
-            self.write_lr(value)
-        else:
-            raise KeyError(f"unknown register operand {name!r}")
-
     # -- snapshots -------------------------------------------------------
-
-    def user_visible(self) -> Dict[str, int]:
-        """The registers visible to user-mode code: R0-R12, SP_usr, LR_usr."""
-        view = {f"r{i}": self.gprs[i] for i in range(13)}
-        view["sp"] = self.sp_bank[Mode.USR]
-        view["lr"] = self.lr_bank[Mode.USR]
-        return view
-
-    def load_user_visible(self, view: Dict[str, int]) -> None:
-        """Restore the user-visible registers from a snapshot."""
-        for i in range(13):
-            self.gprs[i] = to_word(view[f"r{i}"])
-        self.sp_bank[Mode.USR] = to_word(view["sp"])
-        self.lr_bank[Mode.USR] = to_word(view["lr"])
 
     def copy(self) -> "RegisterFile":
         """Deep copy of the register file."""

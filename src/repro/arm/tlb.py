@@ -23,9 +23,9 @@ what keeps the fast path coherent.
 from __future__ import annotations
 
 import functools
-from array import array
 from typing import FrozenSet, Optional, Set
 
+from repro.arm.bits import WORDSIZE
 from repro.arm.memory import _PAGE_MASK, _TYPECODE, PhysicalMemory
 from repro.arm.pagetable import DESC_L1_COARSE, L1_ENTRIES, entry_target, entry_type
 
@@ -80,10 +80,8 @@ class TLB:
         memory, l1_base = self._memory, self._l1_base
         if memory is None or l1_base is None:
             return
-        words = memory.view_words(l1_base, L1_ENTRIES)
-        if not isinstance(words, memoryview):
-            words = array(_TYPECODE, words)  # EncryptedMemory's plaintext list
-        pages.update(table_footprint(l1_base, words.tobytes()))
+        l1_bytes = memory.region_bytes(l1_base, L1_ENTRIES * WORDSIZE)
+        pages.update(table_footprint(l1_base, l1_bytes))
 
     def note_store(self, address: int) -> None:
         """Record a store; stores into the live tables poison the TLB.

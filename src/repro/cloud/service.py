@@ -12,7 +12,10 @@ Resilience mechanics:
 * **idempotency** — requests are identified by ``CloudRequest.key``;
   a second submit of the same key awaits the first execution's future,
   and a crash-retried request is re-*dispatched*, never re-*resolved*,
-  so a seal/sign executes at most once from the client's view;
+  so a seal/sign executes at most once from the client's view *within
+  the dedup window*: the service remembers the ``DEDUP_WINDOW`` most
+  recently completed keys (and every pending one), so a duplicate of
+  an older key executes again and gets a fresh response;
 * **crash retry** — a dead worker's in-flight requests (up to
   ``PIPELINE_DEPTH`` of them) are each re-dispatched after a seeded
   exponential backoff (``repro.util.backoff`` delays ×
@@ -69,6 +72,10 @@ PIPELINE_DEPTH = 2
 #: Seconds per unit of the seeded retry backoff.
 BACKOFF_UNIT_S = 0.002
 
+#: Completed request keys remembered for deduplication (pending ones
+#: are never forgotten).
+DEDUP_WINDOW = 4096
+
 
 @dataclass
 class _Entry:
@@ -76,8 +83,8 @@ class _Entry:
 
     request: CloudRequest
     future: "asyncio.Future[CloudResponse]"
-    options: Dict
     backoff: Backoff
+    chaos_kill_at: Optional[int] = None
     attempts: int = 0
     worker_id: Optional[int] = None
     timer: Optional[object] = None  # asyncio.TimerHandle
@@ -120,6 +127,8 @@ class CloudService:
         self._workers: Dict[int, WorkerHandle] = {}
         self._next_worker_id = 0
         self._entries: Dict[str, _Entry] = {}
+        #: Keys of completed entries, oldest first (the dedup window).
+        self._completed: Deque[str] = deque()
         self._queue: Deque[str] = deque()
         #: Worker ids with spare pipeline capacity (each at most once).
         self._idle: Deque[int] = deque()
@@ -192,7 +201,6 @@ class CloudService:
     async def submit(
         self,
         request: CloudRequest,
-        step_budget: Optional[int] = None,
         chaos_kill_at: Optional[int] = None,
     ) -> CloudResponse:
         """Serve a request; always returns a terminal CloudResponse.
@@ -219,11 +227,8 @@ class CloudService:
             entry = _Entry(
                 request=request,
                 future=self._loop.create_future(),
-                options={
-                    "step_budget": step_budget,
-                    "chaos_kill_at": chaos_kill_at,
-                },
                 backoff=policy.session(seed=int(key[:8], 16)),
+                chaos_kill_at=chaos_kill_at,
             )
             self._entries[key] = entry
             self.counters["submitted"] += 1
@@ -357,7 +362,7 @@ class CloudService:
                 # The injected kill has fired; a retry must run the
                 # request for real (at-most-once chaos, at-most-once
                 # client view).
-                entry.options["chaos_kill_at"] = None
+                entry.chaos_kill_at = None
             elif not entry.timed_out:
                 # Never started: it neither consumed its chaos kill
                 # point nor burned a real execution attempt.  Requeue
@@ -429,7 +434,7 @@ class CloudService:
         entry.worker_id = worker_id
         handle.inflight.append(key)
         try:
-            handle.conn.send(("req", entry.request.to_wire(), dict(entry.options)))
+            handle.conn.send(("req", entry.request.to_wire(), entry.chaos_kill_at))
         except OSError:
             try:
                 handle.inflight.remove(key)
@@ -457,7 +462,6 @@ class CloudService:
         entry.attempts += 1
         self.counters["degraded"] += 1
         request = entry.request
-        step_budget = entry.options.get("step_budget")
 
         def run() -> CloudResponse:
             template = get_template(self.spec)
@@ -465,7 +469,7 @@ class CloudService:
             # the supervisor's own process, where an injected kill
             # would take down the whole service — the opposite of
             # graceful degradation.
-            return serve_request(template, request, step_budget=step_budget)
+            return serve_request(template, request)
 
         future = self._loop.run_in_executor(self._degraded_pool, run)
 
@@ -509,3 +513,7 @@ class CloudService:
                 elapsed=time.monotonic() - entry.started,
             )
         )
+        completed = self._completed
+        completed.append(key)
+        if len(completed) > DEDUP_WINDOW:
+            del self._entries[completed.popleft()]

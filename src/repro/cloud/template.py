@@ -173,7 +173,6 @@ class EnclaveTemplate:
         self,
         request: CloudRequest,
         fault_plan: Optional[FaultPlan] = None,
-        step_budget: Optional[int] = None,
     ) -> CloudResponse:
         """Serve one request from a fresh restore of the snapshot.
 
@@ -183,16 +182,12 @@ class EnclaveTemplate:
         (the chaos campaign's hook).
         """
         with self._lock:
-            return self._execute_locked(request, fault_plan, step_budget)
+            return self._execute_locked(request, fault_plan)
 
     def _execute_locked(
-        self,
-        request: CloudRequest,
-        fault_plan: Optional[FaultPlan],
-        step_budget: Optional[int],
+        self, request: CloudRequest, fault_plan: Optional[FaultPlan]
     ) -> CloudResponse:
         request.validate()
-        budget = self.step_budget if step_budget is None else step_budget
         self.snapshot.restore()
         state = self.monitor.state
         if fault_plan is not None:
@@ -200,7 +195,7 @@ class EnclaveTemplate:
                 raise RuntimeError("a fault plan is already attached")
             state.fault_plan = fault_plan
         try:
-            words = self._dispatch(request, budget)
+            words = self._dispatch(request)
         finally:
             state.fault_plan = None
         return CloudResponse(
@@ -214,7 +209,7 @@ class EnclaveTemplate:
             goldens = self._expected
             response = goldens.pop(request.key, None)
             if response is None:
-                response = self._execute_locked(request, None, None)
+                response = self._execute_locked(request, None)
                 if len(goldens) >= GOLDEN_CAP:
                     del goldens[next(iter(goldens))]
             goldens[request.key] = response
@@ -225,7 +220,7 @@ class EnclaveTemplate:
         execution of ``request`` performs (the chaos kill-point space)."""
         with self._lock:
             plan = FaultPlan()
-            self._execute_locked(request, plan, None)
+            self._execute_locked(request, plan)
             return plan.count
 
     def audit(self) -> List[str]:
@@ -243,40 +238,37 @@ class EnclaveTemplate:
 
     # -- internals --------------------------------------------------------
 
-    def _dispatch(self, request: CloudRequest, budget: int) -> List[int]:
+    def _dispatch(self, request: CloudRequest) -> List[int]:
         kind = request.kind
         payload = list(request.payload)
         if kind == "attest":
-            count = self._vault_call(OP_ATTEST, payload, 0, budget)
+            count = self._vault_call(OP_ATTEST, payload, 0)
             return self._vault_out(count)
         if kind == "seal":
-            count = self._vault_call(OP_SEAL, payload, len(payload), budget)
+            count = self._vault_call(OP_SEAL, payload, len(payload))
             return self._vault_out(count)
         if kind == "unseal":
-            count = self._vault_call(OP_UNSEAL, payload, len(payload), budget)
+            count = self._vault_call(OP_UNSEAL, payload, len(payload))
             return self._vault_out(count)
         if kind == "spin":
-            value = self._vault_call(OP_SPIN, [], payload[0], budget)
+            value = self._vault_call(OP_SPIN, [], payload[0])
             return [value]
         if kind == "sign":
-            return self._sign(payload, budget)
+            return self._sign(payload)
         if kind == "pipeline":
-            return self._pipeline_call(payload, budget)
+            return self._pipeline_call(payload)
         if kind == "checksum":
             self._checksum.handle.buffer().write_words(self.kernel, payload)
-            err, value = self._run_budgeted(
-                self._checksum.handle.thread, len(payload), 0, 0, budget
-            )
+            thread = self._checksum.handle.thread
+            err, value = self._run_budgeted(thread, len(payload), 0, 0)
             self._check_err("checksum", err)
             return [value]
         raise BadRequest(f"unknown request kind {kind!r}")  # pragma: no cover
 
-    def _vault_call(
-        self, op: int, payload: List[int], arg2: int, budget: int
-    ) -> int:
+    def _vault_call(self, op: int, payload: List[int], arg2: int) -> int:
         if payload:
             self._vault.buffer().write_words(self.kernel, payload, offset=_V_IN)
-        err, value = self._run_budgeted(self._vault.thread, op, arg2, 0, budget)
+        err, value = self._run_budgeted(self._vault.thread, op, arg2, 0)
         self._check_err("vault", err)
         if value == _V_BAD_SHAPE:
             raise BadRequest("vault rejected the request shape")
@@ -287,7 +279,7 @@ class EnclaveTemplate:
     def _vault_out(self, count: int) -> List[int]:
         return self._vault.buffer().read_words(self.kernel, count, offset=_V_OUT)
 
-    def _pipeline_call(self, payload: List[int], budget: int) -> List[int]:
+    def _pipeline_call(self, payload: List[int]) -> List[int]:
         """Drive one transaction through the counter-notary pipeline.
 
         The host plays the saga coordinator inline: retransmit the
@@ -302,9 +294,7 @@ class EnclaveTemplate:
         for _ in range(_PIPELINE_ROUNDS):
             pipe.ingress.send(txid, pipeline_stages.MSG_REQ, payload)
             for thread in threads:
-                err, _ = self._run_budgeted(
-                    thread, pipeline_stages.OP_POLL, 0, 0, budget
-                )
+                err, _ = self._run_budgeted(thread, pipeline_stages.OP_POLL, 0, 0)
                 self._check_err("pipeline", err)
             for frame in pipe.egress.drain():
                 if frame.opcode == pipeline_stages.MSG_REPLY and frame.txid == txid:
@@ -313,11 +303,11 @@ class EnclaveTemplate:
             f"pipeline transaction did not commit within {_PIPELINE_ROUNDS} rounds"
         )
 
-    def _sign(self, payload: List[int], budget: int) -> List[int]:
+    def _sign(self, payload: List[int]) -> List[int]:
         handle = self._notary.handle
         handle.buffers[1].write_words(self.kernel, payload)
         err, counter = self._run_budgeted(
-            handle.thread, notary_app.OP_NOTARIZE, len(payload) * 4, 0, budget
+            handle.thread, notary_app.OP_NOTARIZE, len(payload) * 4, 0
         )
         self._check_err("notary", err)
         if counter >= 0xFFFF_FFF0:
@@ -329,11 +319,11 @@ class EnclaveTemplate:
         return [counter] + signature
 
     def _run_budgeted(
-        self, thread: int, a1: int, a2: int, a3: int, budget: int
+        self, thread: int, a1: int, a2: int, a3: int
     ) -> Tuple[KomErr, int]:
         """Enter a thread and resume across interrupts, retiring at most
-        ``budget`` steps (instructions, or native preemption points)."""
-        remaining = budget
+        ``step_budget`` steps (instructions, or native preemption points)."""
+        remaining = self.step_budget
         chunk = min(remaining, _SLICE)
         self.monitor.schedule_interrupt(chunk)
         err, value = self.kernel.enter(thread, a1, a2, a3)
@@ -341,7 +331,7 @@ class EnclaveTemplate:
             remaining -= chunk
             if remaining <= 0:
                 raise DeadlineExceeded(
-                    f"request exceeded its step budget of {budget}"
+                    f"request exceeded its step budget of {self.step_budget}"
                 )
             chunk = min(remaining, _SLICE)
             self.monitor.schedule_interrupt(chunk)

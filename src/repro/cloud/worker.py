@@ -5,8 +5,8 @@ duplex pipe to the supervisor.  The protocol is deliberately tiny —
 every message is a tuple whose first element is its type:
 
 supervisor -> worker
-    ``("req", wire, options)``  serve a request (options: step_budget,
-    chaos_kill_at); ``("audit",)`` restore + audit; ``("stop",)`` exit.
+    ``("req", wire, chaos_kill_at)``  serve a request;
+    ``("audit",)`` restore + audit; ``("stop",)`` exit.
 
 worker -> supervisor
     ``("res", wire)`` a response;
@@ -72,7 +72,6 @@ class KillPlan(FaultPlan):
 def serve_request(
     template: EnclaveTemplate,
     request: CloudRequest,
-    step_budget: Optional[int] = None,
     chaos_kill_at: Optional[int] = None,
 ) -> CloudResponse:
     """Serve one request, honouring the chaos kill point if armed."""
@@ -82,7 +81,7 @@ def serve_request(
     if chaos_kill_at is not None and chaos_kill_at > 0:
         plan = KillPlan(chaos_kill_at)
     try:
-        response = template.execute(request, fault_plan=plan, step_budget=step_budget)
+        response = template.execute(request, fault_plan=plan)
     except CloudError as exc:
         return CloudResponse.failure(request, exc)
     if chaos_kill_at == -1:
@@ -107,14 +106,9 @@ def worker_main(worker_id: int, spec: Dict, conn) -> None:
             conn.send(("audit_ok", worker_id, violations, digest))
             continue
         if message[0] == "req":
-            _, wire, options = message
+            _, wire, chaos_kill_at = message
             request = CloudRequest.from_wire(wire)
-            response = serve_request(
-                template,
-                request,
-                step_budget=options.get("step_budget"),
-                chaos_kill_at=options.get("chaos_kill_at"),
-            )
+            response = serve_request(template, request, chaos_kill_at)
             conn.send(("res", response.to_wire()))
             continue
         # Unknown message: fail loudly (a protocol bug, not a crash).

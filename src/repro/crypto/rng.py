@@ -24,7 +24,6 @@ class HardwareRNG:
         self._seed = seed
         self._counter = 0
         self._pool: List[int] = []
-        self.words_drawn = 0
 
     def read_word(self) -> int:
         """Draw one 32-bit random word (models a device-register read)."""
@@ -35,7 +34,6 @@ class HardwareRNG:
             self._pool = [
                 int.from_bytes(digest[i : i + 4], "big") for i in range(0, 32, 4)
             ]
-        self.words_drawn += 1
         return self._pool.pop()
 
     def read_words(self, count: int) -> List[int]:
@@ -46,5 +44,4 @@ class HardwareRNG:
         dup = HardwareRNG(self._seed)
         dup._counter = self._counter
         dup._pool = list(self._pool)
-        dup.words_drawn = self.words_drawn
         return dup

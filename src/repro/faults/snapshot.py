@@ -14,16 +14,15 @@ Restoring is equivalent to running the trial on a deep copy:
   (memory + encryption tags, registers, TLB state, world/TTBR0/cycles)
   and resets the microarchitectural caches — the same cold-cache state
   a fresh deep copy starts from;
-* the monitor's Python-side mutable state is exactly ``smc_count``,
-  the one-shot interrupt deadline, the native-program registry, and
-  the hardware RNG's draw position; all are restored in place, so
-  objects holding references to the monitor, its state, or its RNG
-  (``Attestation``, ``PageDB``, ``OSKernel``) stay valid;
-* the OS kernel's mutable state is its free-page list, the next
-  insecure staging page, and any in-flight ``retry_with_backoff``
-  session — a crash injected mid-retry leaves the session attached to
-  the kernel, and restore discards it so a rewound trial can never
-  inherit a stale backoff deadline from the previous trial;
+* the monitor's Python-side mutable state is exactly the one-shot
+  interrupt deadline, the native-program registry, and the hardware
+  RNG's draw position (its counter and pool); all are restored in
+  place, so objects holding references to the monitor, its state, or
+  its RNG (``Attestation``, ``PageDB``, ``OSKernel``) stay valid;
+* the OS kernel's mutable state is its free-page list and the next
+  insecure staging page (a ``retry_with_backoff`` session lives in
+  the call's locals, so a crash injected mid-retry leaves nothing
+  behind on the kernel);
 * when a ``MultiCoreMachine`` scheduler is captured too, its PRNG
   state, core list, event logs (linearisation, crashes, quarantines)
   and monitor-lock state are rewound as well, so a multicore trial
@@ -56,8 +55,6 @@ class CampaignSnapshot:
         "machine",
         "rng_counter",
         "rng_pool",
-        "rng_drawn",
-        "smc_count",
         "interrupt_deadline",
         "native_factories",
         "free_pages",
@@ -89,8 +86,6 @@ class CampaignSnapshot:
         rng = monitor.rng
         self.rng_counter = rng._counter
         self.rng_pool = list(rng._pool)
-        self.rng_drawn = rng.words_drawn
-        self.smc_count = monitor.smc_count
         self.interrupt_deadline = monitor._interrupt_deadline
         self.native_factories = dict(monitor._native_factories)
         if kernel is not None:
@@ -135,8 +130,6 @@ class CampaignSnapshot:
         rng = monitor.rng
         rng._counter = self.rng_counter
         rng._pool = list(self.rng_pool)
-        rng.words_drawn = self.rng_drawn
-        monitor.smc_count = self.smc_count
         monitor._interrupt_deadline = self.interrupt_deadline
         monitor._native_threads = {}
         monitor._native_factories = dict(self.native_factories)
@@ -144,10 +137,6 @@ class CampaignSnapshot:
         if kernel is not None:
             kernel._free_pages = list(self.free_pages)
             kernel._insecure_next = self.insecure_next
-            # Snapshots are only captured at quiescent points, so the
-            # checkpoint never holds a live retry loop: any in-flight
-            # backoff session belongs to the crashed trial, not to us.
-            kernel._backoff = None
         scheduler = self.scheduler
         if scheduler is not None:
             # Rewind the per-core run-queue state so a trial forks

@@ -56,11 +56,9 @@ quarantine flags scrub heals and the audit reports; and
 :func:`_entry_stores` derives an entry's redundancy everywhere.
 
 All engine work — verification, repair, retagging — charges **zero
-cycles** (it models a hardware pipeline stage, not monitor software),
-and engine reads do not count as CPU read transactions (``region_bytes``
-is none on either memory class; :func:`_peek_words` restores the
-counter), so the cost model and the fast-path engine's regression
-anchors are untouched.
+cycles** (it models a hardware pipeline stage, not monitor software):
+it reads memory directly, never through the CPU, so the cost model is
+untouched.
 Tag updates ride inside the commit journal: ``run_transactional``
 asks :func:`record_tag_ops` to append tag writes to the transaction at
 its commit point, so data and tags are crash-atomic together.
@@ -148,20 +146,6 @@ def entry_checksum(type_word: int, owner_word: int) -> int:
     return zlib.crc32(array(_TYPECODE, (type_word, owner_word))) & 0xFFFFFFFF
 
 
-def _peek_words(memory: PhysicalMemory, address: int, count: int) -> List[int]:
-    """An engine read: does not count as a CPU read transaction."""
-    saved = memory.read_ops
-    try:
-        return memory.read_words(address, count)
-    finally:
-        memory.read_ops = saved
-
-
-def _peek(memory: PhysicalMemory, address: int) -> int:
-    """:func:`_peek_words` of one word."""
-    return _peek_words(memory, address, 1)[0]
-
-
 #: Bound on the page-CRC memo: one entry per (page, stamp) pair, and a
 #: run re-stamps a page only when a snapshot captures it written.
 PAGE_CRC_MEMO_SIZE = 4096
@@ -216,7 +200,7 @@ def _tzero(state: MachineState, base: int) -> None:
 def enabled(state: MachineState) -> bool:
     """True once the bootloader initialised the tag region."""
     return (
-        _peek(state.memory, itag_magic_addr(state.memmap.monitor_image.base))
+        state.memory.read_word(itag_magic_addr(state.memmap.monitor_image.base))
         == ITAG_MAGIC
     )
 
@@ -245,7 +229,7 @@ def quarantined_pages(state: MachineState) -> List[int]:
         return []
     base = state.memmap.monitor_image.base
     npages = state.memmap.secure_pages
-    flags = _peek_words(state.memory, itag_quarantine_addr(base, npages, 0), npages)
+    flags = state.memory.read_words(itag_quarantine_addr(base, npages, 0), npages)
     return [pageno for pageno, flag in enumerate(flags) if flag]
 
 
@@ -266,7 +250,7 @@ def record_tag_ops(state: MachineState, txn) -> None:
     memmap = state.memmap
     base = memmap.monitor_image.base
     npages = memmap.secure_pages
-    if _peek(state.memory, itag_magic_addr(base)) != ITAG_MAGIC:
+    if state.memory.read_word(itag_magic_addr(base)) != ITAG_MAGIC:
         return
     pagedb_base = base + PAGEDB_OFFSET
     pagedb_limit = pagedb_base + npages * PAGEDB_ENTRY_WORDS * WORDSIZE
@@ -282,35 +266,31 @@ def record_tag_ops(state: MachineState, txn) -> None:
             )
     if not touched_pages and not touched_entries:
         return
-    saved = state.memory.read_ops
-    try:
-        for pageno in sorted(touched_entries):
-            type_word, owner_word = txn.read_words(
-                state.memory, pagedb_entry_addr(base, pageno), PAGEDB_ENTRY_WORDS
-            )
-            for address, value in _entry_stores(
-                base, npages, pageno, type_word, owner_word
-            ):
-                txn.record_write(address, value)
-            if type_word == int(PageType.FREE):
-                # Deallocation retires the quarantine and dirty flags.
-                txn.record_write(itag_quarantine_addr(base, npages, pageno), 0)
-                txn.record_write(itag_dirty_addr(base, npages, pageno), 0)
-        for pageno in sorted(touched_pages):
-            type_word = txn.read(pagedb_entry_addr(base, pageno))
-            if type_word is None:
-                type_word = _peek(state.memory, pagedb_entry_addr(base, pageno))
-            if type_word in _NEVER_TAGGED:
-                tag = 0
-            else:
-                tag = page_checksum(
-                    txn.read_words(
-                        state.memory, memmap.page_base(pageno), WORDS_PER_PAGE
-                    )
+    for pageno in sorted(touched_entries):
+        type_word, owner_word = txn.read_words(
+            state.memory, pagedb_entry_addr(base, pageno), PAGEDB_ENTRY_WORDS
+        )
+        for address, value in _entry_stores(
+            base, npages, pageno, type_word, owner_word
+        ):
+            txn.record_write(address, value)
+        if type_word == int(PageType.FREE):
+            # Deallocation retires the quarantine and dirty flags.
+            txn.record_write(itag_quarantine_addr(base, npages, pageno), 0)
+            txn.record_write(itag_dirty_addr(base, npages, pageno), 0)
+    for pageno in sorted(touched_pages):
+        type_word = txn.read(pagedb_entry_addr(base, pageno))
+        if type_word is None:
+            type_word = state.memory.read_word(pagedb_entry_addr(base, pageno))
+        if type_word in _NEVER_TAGGED:
+            tag = 0
+        else:
+            tag = page_checksum(
+                txn.read_words(
+                    state.memory, memmap.page_base(pageno), WORDS_PER_PAGE
                 )
-            txn.record_write(itag_page_tag_addr(base, npages, pageno), tag)
-    finally:
-        state.memory.read_ops = saved
+            )
+        txn.record_write(itag_page_tag_addr(base, npages, pageno), tag)
 
 
 def resync(state: MachineState) -> None:
@@ -327,7 +307,7 @@ def resync(state: MachineState) -> None:
     base = memmap.monitor_image.base
     npages = memmap.secure_pages
     memory = state.memory
-    entries = _peek_words(memory, pagedb_entry_addr(base, 0), npages * 2)
+    entries = memory.read_words(pagedb_entry_addr(base, 0), npages * 2)
     for pageno in range(npages):
         type_word, owner_word = entries[2 * pageno : 2 * pageno + 2]
         for address, value in _entry_stores(
@@ -447,7 +427,7 @@ def _survey(
     page_base = state.memmap.page_base
     base = state.memmap.monitor_image.base
     npages = state.memmap.secure_pages
-    tags = _peek_words(memory, itag_page_tag_addr(base, npages, 0), npages)
+    tags = memory.read_words(itag_page_tag_addr(base, npages, 0), npages)
     suspects = [
         pageno
         for pageno, type_word in types.items()
@@ -477,8 +457,8 @@ def _stray_flags(
     memory = state.memory
     memmap = state.memmap
     npages = memmap.secure_pages
-    flags = _peek_words(
-        memory, itag_quarantine_addr(memmap.monitor_image.base, npages, 0), npages
+    flags = memory.read_words(
+        itag_quarantine_addr(memmap.monitor_image.base, npages, 0), npages
     )
     stray = []
     for pageno, flag in enumerate(flags):
@@ -488,7 +468,7 @@ def _stray_flags(
         owner = pageno if type_word == int(PageType.ADDRSPACE) else owners[pageno]
         if type_word == int(PageType.FREE) or not (
             types.get(owner) == int(PageType.ADDRSPACE)
-            and _peek(memory, memmap.page_base(owner) + AS_STATE_WORD * WORDSIZE)
+            and memory.read_word(memmap.page_base(owner) + AS_STATE_WORD * WORDSIZE)
             == int(AddrspaceState.STOPPED)
         ):
             stray.append((pageno, owner))
@@ -499,7 +479,7 @@ def _dirty_addrspaces(state: MachineState) -> Set[int]:
     """Addrspaces whose DATA tags are currently stale by protocol."""
     base = state.memmap.monitor_image.base
     npages = state.memmap.secure_pages
-    flags = _peek_words(state.memory, itag_dirty_addr(base, npages, 0), npages)
+    flags = state.memory.read_words(itag_dirty_addr(base, npages, 0), npages)
     return {asno for asno, flag in enumerate(flags) if flag}
 
 
@@ -520,7 +500,7 @@ def mark_dirty(mon: "KomodoMonitor", asno: int) -> None:
     address = itag_dirty_addr(
         state.memmap.monitor_image.base, state.memmap.secure_pages, asno
     )
-    if _peek(state.memory, address):
+    if state.memory.read_word(address):
         return
     run_transactional(
         state, lambda: _twrite(state, address, 1), commit_if=lambda _: True
@@ -653,7 +633,7 @@ def scrub(mon: "KomodoMonitor") -> PrecheckReport:
     for pageno, type_word in types.items():
         page_base = memmap.page_base(pageno)
         if type_word in _NEVER_TAGGED and any(
-            _peek_words(state.memory, page_base, WORDS_PER_PAGE)
+            state.memory.read_words(page_base, WORDS_PER_PAGE)
         ):
             _tzero(state, page_base)
             report.healed += 1
@@ -665,7 +645,7 @@ def scrub(mon: "KomodoMonitor") -> PrecheckReport:
         if pageno not in suspects:
             _twrite(state, itag_quarantine_addr(base, npages, pageno), 0)
             report.healed += 1
-    dirty_flags = _peek_words(state.memory, itag_dirty_addr(base, npages, 0), npages)
+    dirty_flags = state.memory.read_words(itag_dirty_addr(base, npages, 0), npages)
     for asno, flag in enumerate(dirty_flags):
         if flag and types[asno] != int(PageType.ADDRSPACE):
             _twrite(state, itag_dirty_addr(base, npages, asno), 0)
@@ -693,9 +673,9 @@ def refresh_data_tags(mon: "KomodoMonitor", asno: int) -> None:
     memmap = state.memmap
     base = memmap.monitor_image.base
     npages = memmap.secure_pages
-    if not _peek(state.memory, itag_dirty_addr(base, npages, asno)):
+    if not state.memory.read_word(itag_dirty_addr(base, npages, asno)):
         return
-    entries = _peek_words(state.memory, pagedb_entry_addr(base, 0), npages * 2)
+    entries = state.memory.read_words(pagedb_entry_addr(base, 0), npages * 2)
     data_pages = [
         pageno
         for pageno in range(npages)

@@ -98,7 +98,6 @@ class KomodoMonitor:
         #: Hook invoked at the end of ``recover()`` (the multicore
         #: scheduler uses it to break a crashed core's monitor lock).
         self.on_recover = None
-        self.smc_count = 0
         self._boot()
 
     def _boot(self) -> None:
@@ -180,7 +179,6 @@ class KomodoMonitor:
         # Conservative save of the non-volatile registers (section 8.1).
         self._saved_nonvolatile = [state.regs.read_gpr(i) for i in range(4, 12)]
         state.charge(8 * state.costs.mem_access)
-        self.smc_count += 1
 
     def _smc_exception_return(self, err: KomErr, value: int) -> None:
         """Return to the OS: restore non-volatiles, scrub, set results.

@@ -20,7 +20,7 @@ from repro.arm.modes import World
 from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
 from repro.monitor.layout import KOM_MAGIC, Mapping, SMC
-from repro.util.backoff import Backoff, BackoffPolicy
+from repro.util.backoff import BackoffPolicy
 
 
 class OSError_(Exception):
@@ -61,12 +61,6 @@ class OSKernel:
         insecure = monitor.state.memmap.insecure
         self._insecure_next = insecure.base
         self._insecure_limit = insecure.limit
-        #: In-flight retry_with_backoff session, if one is mid-loop.  A
-        #: monitor crash injected inside ``issue()`` unwinds past the
-        #: loop and leaves the session attached — modelling a driver
-        #: that died inside its wait loop — so campaign snapshot restore
-        #: must clear it (repro.faults.snapshot.CampaignSnapshot).
-        self._backoff: Optional[Backoff] = None
 
     # -- secure-page accounting ------------------------------------------
 
@@ -278,16 +272,15 @@ class OSKernel:
         ``deadline`` (absolute, in cycles) refuses any wait that would
         end past it.  Returns the final ``(err, value)`` after at most
         ``attempts`` issues (the last error, still transient, if none
-        succeeded or the deadline cut the loop short).
+        succeeded or the deadline cut the loop short).  The backoff
+        session lives in this call's locals, so a crash escaping
+        ``issue()`` leaves no retry state on the kernel.
         """
         state = self.monitor.state
         policy = BackoffPolicy(
             base_delay=base_delay, attempts=attempts, cap=cap, deadline=deadline
         )
-        # No try/finally on purpose: an injected crash escaping issue()
-        # leaves the session attached (see __init__); snapshot restore
-        # resets it so a rewound trial cannot inherit a stale deadline.
-        self._backoff = session = policy.session(seed)
+        session = policy.session(seed)
         err, value = issue()
         while err in transient:
             delay = session.next_delay(now=state.cycles)
@@ -295,7 +288,6 @@ class OSKernel:
                 break
             state.charge(delay)
             err, value = issue()
-        self._backoff = None
         return (err, value)
 
     def scrub(self) -> Tuple[int, int]:

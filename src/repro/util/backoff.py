@@ -17,10 +17,8 @@ kernel's cycle accounting stays bit-identical across the refactor:
   (Numerical Recipes LCG constants)
 * delay for retry *k* (1-based): ``base_delay * 2**(k-1) + word % base_delay``
 
-A :class:`Backoff` session is the in-flight state of one retry loop.
-It is deliberately small and inert (plain ints) so kernel snapshots can
-treat "a retry loop was in progress" as resettable state — see
-``repro.faults.snapshot.CampaignSnapshot``.
+A :class:`Backoff` session is the in-flight state of one retry loop,
+held in that loop's locals: small and inert (plain ints).
 """
 
 from __future__ import annotations

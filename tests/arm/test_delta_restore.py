@@ -23,8 +23,6 @@ def observables(state):
     return (
         bytes(state.memory._buf),
         state.memory.generation,
-        state.memory.read_ops,
-        state.memory.write_ops,
         dict(state.regs.gprs),
         state.regs.cpsr.to_word(),
         state.cycles,

@@ -46,6 +46,23 @@ class TestCpuView:
         memory.zero_page(base)
         assert all(w == 0 for w in memory.read_words(base, WORDS_PER_PAGE))
 
+    def test_bulk_ops_go_through_the_engine(self, env):
+        """Every bulk helper stores ciphertext and reads verified
+        plaintext, word by word: none is a raw slice of the store."""
+        memmap, memory = env
+        base, other = memmap.page_base(1), memmap.page_base(2)
+        memory.write_words(base, [7, 8, 9])
+        assert memory.read_words(base, 3) == [7, 8, 9]
+        assert [memory.physical_read(base + 4 * i) for i in range(3)] != [7, 8, 9]
+        memory.copy_page(base, other)
+        assert memory.read_words(other, 3) == [7, 8, 9]
+        assert memory.physical_read(other) != memory.physical_read(base)
+        memory.physical_write(other + 4, memory.physical_read(other + 4) ^ 1)
+        with pytest.raises(IntegrityViolation):
+            memory.read_words(other, 3)
+        memory.zero_page(other)
+        assert memory.read_words(other, WORDS_PER_PAGE) == [0] * WORDS_PER_PAGE
+
 
 class TestPhysicalAttacker:
     def test_cold_boot_sees_only_ciphertext(self, env):

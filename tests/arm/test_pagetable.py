@@ -144,59 +144,6 @@ class TestWalker:
         assert translation is not None
         assert not translation.secure
 
-    def test_writable_frames(self, env):
-        memmap, memory, walker = env
-        rw_frame = memmap.page_base(5)
-        ro_frame = memmap.page_base(6)
-        l1 = build_tables(
-            memmap,
-            memory,
-            [
-                (0x1000, rw_frame, True, True, False),
-                (0x2000, ro_frame, True, False, False),
-            ],
-        )
-        assert walker.writable_frames(l1) == [rw_frame]
-
-    def test_mapped_vaddrs(self, env):
-        # Both VAs within one 4 MB slice (the helper shares one L2 table).
-        memmap, memory, walker = env
-        frame = memmap.page_base(5)
-        l1 = build_tables(
-            memmap,
-            memory,
-            [
-                (0x1000, frame, True, False, False),
-                (0x5000, frame, True, False, False),
-            ],
-        )
-        assert set(walker.mapped_vaddrs(l1)) == {0x1000, 0x5000}
-
-    def test_scan_read_cost_skips_invalid_l1_entries(self, env):
-        """Full-table scans must not walk L2 tables that were never
-        installed: one bulk read for the L1 plus one per *valid* L1
-        entry.  Guards against regressing to the per-entry walk that
-        issued L1_ENTRIES * L2_ENTRIES reads regardless of occupancy."""
-        memmap, memory, walker = env
-        frame = memmap.page_base(5)
-        l1 = build_tables(memmap, memory, [(0x1000, frame, True, True, False)])
-
-        before = memory.read_ops
-        walker.writable_frames(l1)
-        assert memory.read_ops - before == 2  # L1 scan + the one live L2
-
-        before = memory.read_ops
-        walker.mapped_vaddrs(l1)
-        assert memory.read_ops - before == 2
-
-    def test_scan_read_cost_empty_table(self, env):
-        memmap, memory, walker = env
-        l1 = memmap.page_base(0)  # all-invalid L1
-        before = memory.read_ops
-        assert walker.writable_frames(l1) == []
-        assert walker.mapped_vaddrs(l1) == []
-        assert memory.read_ops - before == 2  # one L1 scan each, no L2s
-
     @given(st.integers(0, ENCLAVE_VSPACE_SIZE - 1))
     def test_walk_offset_preserved(self, vaddr):
         memmap = MemoryMap(secure_pages=8)

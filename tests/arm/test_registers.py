@@ -98,22 +98,6 @@ class TestBanking:
 
 
 class TestOperandAccess:
-    def test_named_registers(self):
-        regs = RegisterFile()
-        regs.write_operand("r7", 7)
-        regs.write_operand("sp", 0x100)
-        regs.write_operand("lr", 0x200)
-        assert regs.read_operand("r7") == 7
-        assert regs.read_operand("sp") == 0x100
-        assert regs.read_operand("lr") == 0x200
-
-    def test_unknown_operand(self):
-        regs = RegisterFile()
-        with pytest.raises(KeyError):
-            regs.read_operand("pc")
-        with pytest.raises(KeyError):
-            regs.write_operand("r13", 0)
-
     def test_write_truncates(self):
         regs = RegisterFile()
         regs.write_gpr(0, 0x1_2345_6789)
@@ -121,17 +105,6 @@ class TestOperandAccess:
 
 
 class TestSnapshots:
-    def test_user_visible_roundtrip(self):
-        regs = RegisterFile()
-        for i in range(13):
-            regs.write_gpr(i, i * 11)
-        regs.write_sp(0x500, Mode.USR)
-        regs.write_lr(0x600, Mode.USR)
-        view = regs.user_visible()
-        fresh = RegisterFile()
-        fresh.load_user_visible(view)
-        assert fresh.user_visible() == view
-
     def test_copy_is_deep(self):
         regs = RegisterFile()
         regs.write_gpr(0, 1)

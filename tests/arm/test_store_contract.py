@@ -8,7 +8,8 @@ engine has tagged the stored words (the footprint re-walk reads them
 back through the engine).  The watched footprint is memoised by L1
 contents.  An AST scan keeps memory internals (the page-stamp table
 included: consumers reach stamps only through ``page_stamp``) and
-``note_store`` calls inside the modules that own them.
+``note_store`` calls inside the modules that own them; a second scan
+lets no other module set an attribute of a memory object.
 """
 
 import ast
@@ -169,13 +170,26 @@ class TestFootprintMemo:
             tlb.set_ttbr(memory, l1_base)
             assert tlb._table_pages == walk(l1_base, words)
 
-    def test_memo_costs_one_read_transaction(self):
+    def test_memo_costs_one_read_transaction(self, monkeypatch):
+        """A memo hit reads the L1 table once, as one span, and walks
+        nothing else."""
         memory = PhysicalMemory(_MAP)
         tlb = TLB()
-        tlb.set_ttbr(memory, _MAP.page_base(L1_PAGE))
-        reads = memory.read_ops
-        tlb.set_ttbr(memory, _MAP.page_base(L1_PAGE))
-        assert memory.read_ops == reads + 1
+        l1_base = _MAP.page_base(L1_PAGE)
+        tlb.set_ttbr(memory, l1_base)
+        reads = []
+        region_bytes = memory.region_bytes
+        monkeypatch.setattr(
+            memory,
+            "region_bytes",
+            lambda base, size: reads.append((base, size)) or region_bytes(base, size),
+        )
+        monkeypatch.setattr(memory, "read_word", None)
+        monkeypatch.setattr(memory, "read_words", None)
+        hits = table_footprint.cache_info().hits
+        tlb.set_ttbr(memory, l1_base)
+        assert reads == [(l1_base, L1_ENTRIES * 4)]
+        assert table_footprint.cache_info().hits == hits + 1
 
     def test_memo_is_bounded(self):
         for i in range(FOOTPRINT_MEMO_SIZE + 8):
@@ -213,4 +227,34 @@ def test_store_contract_has_one_owner():
                 breaches.append(f"{module}:{node.lineno} touches .{node.attr}")
             if node.attr == "note_store" and module not in NOTE_STORE_OWNERS:
                 breaches.append(f"{module}:{node.lineno} calls note_store")
+    assert not breaches, breaches
+
+
+#: Modules allowed to set an attribute of a memory object.
+MEMORY_STATE_OWNERS = {"arm/memory.py", "arm/encryption.py"}
+
+
+def _is_memory(node: ast.expr) -> bool:
+    """``memory``, or any ``<expr>.memory`` (``state.memory``, ``self.memory``)."""
+    return (isinstance(node, ast.Name) and node.id == "memory") or (
+        isinstance(node, ast.Attribute) and node.attr == "memory"
+    )
+
+
+def test_only_memory_sets_its_own_state():
+    """Memory keeps its own bookkeeping: no other module assigns (or
+    deletes) an attribute of a memory object, so no caller can save and
+    restore memory state around its own reads or writes."""
+    breaches = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module in MEMORY_STATE_OWNERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and _is_memory(node.value)
+            ):
+                breaches.append(f"{module}:{node.lineno} sets .{node.attr}")
     assert not breaches, breaches

@@ -9,13 +9,11 @@ pc points, and LRU eviction destroying the successor outright.  Each
 scenario runs differentially on all three engines, plus white-box
 checks on the link tables themselves.
 
-The second half pins the bulk-memory contract: ``PhysicalMemory``
-bulk helpers are single transactions over the flat store, while
-``EncryptedMemory`` must never take any bulk or inline fast path —
-every word goes through the keystream and tag engine.
+The second half pins the bulk-memory contract: ``EncryptedMemory``
+must never take any bulk or inline fast path — every word goes through
+the keystream and tag engine (``tests/arm/test_encryption.py`` checks
+its bulk helpers).
 """
-
-import pytest
 
 from repro.arm import blocks
 from repro.arm.assembler import Assembler
@@ -24,7 +22,7 @@ from repro.arm.cpu import CPU, ExitReason
 from repro.arm.encryption import EncryptedMemory
 from repro.arm.instructions import Instruction, encode
 from repro.arm.machine import MachineState
-from repro.arm.memory import WORDS_PER_PAGE, MemoryMap, PhysicalMemory
+from repro.arm.memory import MemoryMap
 from repro.arm.modes import Mode
 from repro.arm.pagetable import l1_index, l2_index, make_l1_entry, make_l2_entry
 from repro.arm.registers import PSR
@@ -471,58 +469,3 @@ class TestEncryptedMemoryNoFastPath:
         result, obs, _ = outcomes["reference"]
         assert result.reason is ExitReason.SVC
         assert obs["gprs"][2] == 130  # 100 + 6 * 5, through the engine
-
-
-class TestTransactionAccounting:
-    def test_physical_bulk_ops_are_single_transactions(self):
-        memmap = MemoryMap(secure_pages=8)
-        memory = PhysicalMemory(memmap)
-        base, other = memmap.page_base(1), memmap.page_base(2)
-
-        memory.write_words(base, [1, 2, 3])
-        assert (memory.read_ops, memory.write_ops) == (0, 1)
-        memory.read_words(base, 3)
-        assert (memory.read_ops, memory.write_ops) == (1, 1)
-        view = memory.view_words(base, 3)
-        assert list(view) == [1, 2, 3]
-        assert (memory.read_ops, memory.write_ops) == (2, 1)
-        memory.copy_page(base, other)
-        assert (memory.read_ops, memory.write_ops) == (3, 2)
-        memory.zero_page(other)
-        assert (memory.read_ops, memory.write_ops) == (3, 3)
-
-    def test_view_words_is_zero_copy_and_readonly(self):
-        memmap = MemoryMap(secure_pages=8)
-        memory = PhysicalMemory(memmap)
-        base = memmap.page_base(1)
-        memory.write_words(base, [10, 20])
-        view = memory.view_words(base, 2)
-        with pytest.raises(TypeError):
-            view[0] = 99
-        memory.write_word(base, 11)  # live window: sees later stores
-        assert view[0] == 11
-
-    def test_encrypted_bulk_ops_go_word_wise(self):
-        memmap = MemoryMap(secure_pages=8)
-        memory = EncryptedMemory(memmap)
-        base, other = memmap.page_base(1), memmap.page_base(2)
-
-        memory.write_words(base, [7, 8, 9])
-        assert memory.write_ops == 3  # one engine transaction per word
-        before = memory.read_ops
-        assert memory.view_words(base, 3) == [7, 8, 9]  # plaintext, a list
-        assert memory.read_ops == before + 3
-        memory.copy_page(base, other)
-        assert memory.write_ops == 3 + WORDS_PER_PAGE
-        memory.zero_page(other)
-        assert memory.write_ops == 3 + 2 * WORDS_PER_PAGE
-
-    def test_encrypted_view_words_decrypts(self):
-        """The raw store holds ciphertext; ``view_words`` must return
-        verified plaintext, never a window over the backing buffer."""
-        memmap = MemoryMap(secure_pages=8)
-        memory = EncryptedMemory(memmap)
-        base = memmap.page_base(1)
-        memory.write_word(base, 0x1234_5678)
-        assert memory.physical_read(base) != 0x1234_5678  # ciphertext at rest
-        assert memory.view_words(base, 1) == [0x1234_5678]

@@ -18,6 +18,17 @@ SPEC = {
 }
 
 
+#: A step budget far below what a 50,000-iteration spin needs.
+TIGHT_BUDGET = 10_000
+
+
 @pytest.fixture(scope="session")
 def template():
     return get_template(SPEC)
+
+
+@pytest.fixture(scope="session")
+def tight_template():
+    """The default template but for its step budget (cached like it,
+    so a ``CloudService(step_budget=TIGHT_BUDGET)`` reuses it)."""
+    return get_template({**SPEC, "step_budget": TIGHT_BUDGET})

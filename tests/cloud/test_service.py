@@ -10,9 +10,11 @@ import os
 import signal
 import time
 
+from repro.cloud import service as service_module
 from repro.cloud.api import CloudRequest
 from repro.cloud.service import CloudService
 from repro.cloud.worker import get_template
+from tests.cloud.conftest import TIGHT_BUDGET
 
 
 def run(coro):
@@ -96,20 +98,63 @@ class TestServing:
 
         run(body())
 
-    def test_step_budget_exhaustion_is_typed_and_non_retryable(self):
+    def test_step_budget_exhaustion_is_typed_and_non_retryable(
+        self, tight_template
+    ):
         async def body():
-            service = CloudService(workers=1)
+            service = CloudService(workers=1, step_budget=TIGHT_BUDGET)
             await service.start()
             try:
-                response = await service.submit(
-                    CloudRequest("spin", (50_000,)), step_budget=10_000
-                )
+                response = await service.submit(CloudRequest("spin", (50_000,)))
                 assert not response.ok
                 assert response.error_code == "deadline_exceeded"
                 assert not response.retryable
                 # The worker survives a budget failure: next request OK.
                 ok = await service.submit(CloudRequest("spin", (16,)))
                 assert ok.ok and service.stats()["crashes"] == 0
+            finally:
+                await service.close()
+
+        run(body())
+
+
+class TestDedupWindow:
+    """Idempotency holds per window: the ``DEDUP_WINDOW`` most recently
+    completed keys are remembered, pending ones always."""
+
+    def test_window_bounds_the_table_and_forgets_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(service_module, "DEDUP_WINDOW", 4)
+
+        async def body():
+            service = CloudService(workers=2)
+            await service.start()
+            try:
+                first = CloudRequest("spin", (8,), nonce=0)
+                response = await service.submit(first)
+                # A duplicate of a recent key shares the cached response.
+                assert await service.submit(first) is response
+                assert service.stats()["submitted"] == 1
+                tasks = [
+                    asyncio.ensure_future(
+                        service.submit(CloudRequest("spin", (8,), nonce=n))
+                    )
+                    for n in range(1, 11)
+                ]
+                await asyncio.sleep(0)  # every submit has registered
+                while not all(task.done() for task in tasks):
+                    pending = sum(
+                        not entry.future.done()
+                        for entry in service._entries.values()
+                    )
+                    assert len(service._entries) <= 4 + pending
+                    await asyncio.sleep(0.001)
+                assert all(task.result().ok for task in tasks)
+                assert len(service._entries) == 4
+                # The first key fell out of the window: it executes again.
+                again = await service.submit(first)
+                assert again is not response
+                assert again.digest() == response.digest()
+                assert service.stats()["submitted"] == 12
             finally:
                 await service.close()
 

@@ -20,11 +20,6 @@ class TestDeterminism:
         b = a.fork()
         assert a.read_words(10) == b.read_words(10)
 
-    def test_words_drawn_counter(self):
-        rng = HardwareRNG()
-        rng.read_words(12)
-        assert rng.words_drawn == 12
-
 
 class TestStreamQuality:
     def test_words_are_32bit(self):

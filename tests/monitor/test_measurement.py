@@ -118,8 +118,6 @@ def _observable(pagedb):
         pagedb.hash_state(0),
         pagedb.hash_length(0),
         state.cycles,
-        state.memory.read_ops,
-        state.memory.write_ops,
     )
 
 

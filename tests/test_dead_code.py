@@ -58,24 +58,6 @@ ALLOWED = {
     "repro/arm/modes.py:Mode.privileged": (
         "architectural mode property pinned by the mode tests"
     ),
-    "repro/arm/pagetable.py:PageTableWalker.writable_frames": (
-        "test-only; removal (with its scan-cost tests) still open"
-    ),
-    "repro/arm/pagetable.py:PageTableWalker.mapped_vaddrs": (
-        "test-only; removal (with its scan-cost tests) still open"
-    ),
-    "repro/arm/registers.py:RegisterFile.read_operand": (
-        "test-only; removal (with its tests) still open"
-    ),
-    "repro/arm/registers.py:RegisterFile.write_operand": (
-        "test-only; removal (with its tests) still open"
-    ),
-    "repro/arm/registers.py:RegisterFile.user_visible": (
-        "test-only; removal (with its tests) still open"
-    ),
-    "repro/arm/registers.py:RegisterFile.load_user_visible": (
-        "test-only; removal (with its tests) still open"
-    ),
     "repro/crypto/sha256.py:sha256_words": (
         "word-level digest the hashlib-vs-pure SHA-256 tests compare"
     ),

@@ -12,6 +12,7 @@ import pathlib
 
 import pytest
 
+from repro.monitor.komodo import KomodoMonitor
 from repro.tools.trace import ReplayDivergence, Trace, replay
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "data" / "golden_lifecycle.json"
@@ -21,10 +22,18 @@ class TestGoldenTrace:
     def test_exists(self):
         assert GOLDEN.exists()
 
-    def test_replays_exactly(self):
+    def test_replays_exactly(self, monkeypatch):
         trace = Trace.from_json(GOLDEN.read_text())
-        monitor = replay(trace)  # raises ReplayDivergence on drift
-        assert monitor.smc_count == len(trace.steps)
+        issued = []
+        smc = KomodoMonitor.smc
+
+        def counted_smc(monitor, callno, *args):
+            issued.append(callno)
+            return smc(monitor, callno, *args)
+
+        monkeypatch.setattr(KomodoMonitor, "smc", counted_smc)
+        replay(trace)  # raises ReplayDivergence on drift
+        assert issued == [step.callno for step in trace.steps]
 
     def test_covers_the_interesting_paths(self):
         """The golden trace is only useful if it exercises execution."""
