@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class Severity(enum.IntEnum):
@@ -96,16 +96,14 @@ def make_finding(
     message: str,
     index: int,
     base_va: int,
-    severity: Optional[Severity] = None,
 ) -> Finding:
-    """Build a finding, defaulting severity from the rule table."""
-    rule = RULES[rule_id]
+    """Build a finding with its rule's severity from the rule table."""
     return Finding(
         rule=rule_id,
         message=message,
         index=index,
         va=base_va + index * 4,
-        severity=rule.severity if severity is None else severity,
+        severity=RULES[rule_id].severity,
     )
 
 

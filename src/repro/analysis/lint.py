@@ -55,17 +55,13 @@ def analyze_assembler(
     asm: Assembler,
     config: Optional[AnalysisConfig] = None,
     program: str = "<program>",
-    entry_va: Optional[int] = None,
 ) -> Report:
-    """Analyse an ``Assembler`` program (labels resolved, then encoded)."""
-    return analyze_words(
-        asm.assemble(), config=config, program=program, entry_va=entry_va
-    )
+    """Analyse an ``Assembler`` program (labels resolved, then encoded)
+    from its first instruction."""
+    return analyze_words(asm.assemble(), config=config, program=program)
 
 
-def sidechannel_config(
-    scratch_writable: bool = True,
-) -> AnalysisConfig:
+def sidechannel_config() -> AnalysisConfig:
     """The environment of ``repro.security.sidechannel.profile``:
 
     code at CODE_VA (r-x), one read-write secret page at SECRET_VA, and a
@@ -80,7 +76,7 @@ def sidechannel_config(
         MappedRange(SECRET_VA, SECRET_VA + PAGE_SIZE, True, True, False),
         MappedRange(
             SECRET_VA + PAGE_SIZE, SECRET_VA + 2 * PAGE_SIZE,
-            True, scratch_writable, False,
+            True, True, False,
         ),
     ]
     return AnalysisConfig(

@@ -157,10 +157,10 @@ class PathContext:
 
 
 class PathExplorer:
-    """Depth-first enumeration of every feasible decision path."""
+    """Depth-first enumeration of every feasible decision path.
 
-    def __init__(self, max_paths: int = 200_000):
-        self.max_paths = max_paths
+    More than 200,000 paths is a path explosion: ``explore`` raises.
+    """
 
     def explore(self, thunk: Callable[[PathContext], object]) -> List[PathResult]:
         stack: List[Tuple[int, ...]] = [()]
@@ -181,10 +181,8 @@ class PathExplorer:
                     value=value,
                 )
             )
-            if len(results) > self.max_paths:
-                raise RuntimeError(
-                    f"path explosion: more than {self.max_paths} paths"
-                )
+            if len(results) > 200_000:
+                raise RuntimeError("path explosion: more than 200000 paths")
             # LIFO: depth-first, deterministic.
             stack.extend(reversed(ctx.pending))
         return results

@@ -145,9 +145,8 @@ class Driver:
     #: want_entered for kind == "enter"
     want_entered: bool = False
 
-    def explore(self, max_paths: int = 200_000) -> List[PathResult]:
-        explorer = PathExplorer(max_paths=max_paths)
-        return explorer.explore(self._probe)
+    def explore(self) -> List[PathResult]:
+        return PathExplorer().explore(self._probe)
 
     def _probe(self, ctx: PathContext):
         scenario = choose_scenario(ctx, self.free, dict(self.pins))
@@ -451,6 +450,5 @@ class ExploreResult:
         }
 
 
-def explore_smc(name: str, max_paths: int = 200_000) -> ExploreResult:
-    driver = get_driver(name)
-    return ExploreResult(name=name, paths=driver.explore(max_paths=max_paths))
+def explore_smc(name: str) -> ExploreResult:
+    return ExploreResult(name=name, paths=get_driver(name).explore())

@@ -78,10 +78,8 @@ class ReplayHarness:
     def __init__(
         self,
         engines: Sequence[str] = DEFAULT_ENGINES,
-        secure_pages: int = NPAGES,
     ):
         self.engines = tuple(engines)
-        self.secure_pages = secure_pages
         self._sessions: Dict[str, Tuple[KomodoMonitor, CampaignSnapshot]] = {}
         #: (engine, setup ops) -> post-setup checkpoint + lockstep spec db
         self._prepared_cache: Dict[Tuple, Tuple[CampaignSnapshot, AbsPageDb]] = {}
@@ -91,7 +89,7 @@ class ReplayHarness:
     def _session(self, engine: str) -> Tuple[KomodoMonitor, CampaignSnapshot]:
         if engine not in self._sessions:
             monitor = KomodoMonitor(
-                secure_pages=self.secure_pages,
+                secure_pages=NPAGES,
                 insecure_size=INSECURE_SIZE,
                 cpu_engine=engine,
             )
@@ -218,7 +216,6 @@ class ReplayHarness:
     def check(
         self,
         witnesses: Iterable[Witness],
-        progress=None,
         trial_timeout: Optional[float] = None,
     ) -> List[ReplayFailure]:
         """Replay every witness on every engine; collect all failures.
@@ -230,7 +227,7 @@ class ReplayHarness:
         witnesses replay from a clean machine.
         """
         failures: List[ReplayFailure] = []
-        for index, witness in enumerate(witnesses):
+        for witness in witnesses:
             outcomes: Dict[str, ReplayOutcome] = {}
             for engine in self.engines:
                 try:
@@ -269,8 +266,6 @@ class ReplayHarness:
                                 f"({reference.err}, {reference.value:#x})",
                             )
                         )
-            if progress is not None:
-                progress(index + 1, witness, failures)
         return failures
 
 

@@ -162,9 +162,9 @@ def choose_scenario(
     ctx: PathContext,
     free: Sequence[str],
     pins: Optional[Dict[str, int]] = None,
-    program: Optional[Sequence[int]] = None,
 ) -> Scenario:
-    """Fork scenario choice variables, then build the chosen scenario.
+    """Fork scenario choice variables, then build the chosen scenario
+    around the default program.
 
     ``free`` names the lattice dimensions this driver explores; all
     other dimensions are pinned to their defaults (or to ``pins``).
@@ -208,7 +208,7 @@ def choose_scenario(
             options = (0,)
         pick(name, options)
 
-    return build_scenario(values, program=program)
+    return build_scenario(values)
 
 
 # ---------------------------------------------------------------------------

@@ -256,12 +256,14 @@ class NotaryEnclave:
 
 class NativeNotary:
     """The notary as a plain Linux process: same logic, same cost model,
-    no monitor crossings, no page-table-mediated memory access."""
+    no monitor crossings, no page-table-mediated memory access.  It
+    charges the default ``CostModel`` and draws its key from a
+    ``HardwareRNG`` seeded ``0xC0FFEE``."""
 
-    def __init__(self, costs: Optional[CostModel] = None, seed: int = 0xC0FFEE):
-        self.costs = costs or CostModel()
+    def __init__(self):
+        self.costs = CostModel()
         self.cycles = 0
-        self._rng = HardwareRNG(seed)
+        self._rng = HardwareRNG(0xC0FFEE)
         self._key: Optional[rsa.RSAKeyPair] = None
         self._counter = 0
 

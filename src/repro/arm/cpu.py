@@ -272,17 +272,7 @@ class CPU:
                 self._exception_entry(ExceptionKind.IRQ, pc)
                 return ExecutionResult(ExitReason.STEP_LIMIT, steps=steps)
             try:
-                instr = self._fetch(pc)
-            except _UserFault as fault:
-                self._exception_entry(ExceptionKind.ABORT, pc)
-                return ExecutionResult(
-                    ExitReason.ABORT, fault_address=fault.vaddr, steps=steps
-                )
-            except _UserUndefined:
-                self._exception_entry(ExceptionKind.UNDEFINED, pc)
-                return ExecutionResult(ExitReason.UNDEFINED, steps=steps)
-            try:
-                next_pc, svc = self._execute(instr, pc)
+                next_pc, svc = self._execute(self._fetch(pc), pc)
             except _UserFault as fault:
                 self._exception_entry(ExceptionKind.ABORT, pc)
                 return ExecutionResult(
@@ -1087,17 +1077,7 @@ class TurboCPU(FastCPU):
             # fast-engine fetch/execute path, which matches the
             # reference loop instruction for instruction.
             try:
-                fn = self._fetch(pc)
-            except _UserFault as fault:
-                self._exception_entry(ExceptionKind.ABORT, pc)
-                return ExecutionResult(
-                    ExitReason.ABORT, fault_address=fault.vaddr, steps=steps
-                )
-            except _UserUndefined:
-                self._exception_entry(ExceptionKind.UNDEFINED, pc)
-                return ExecutionResult(ExitReason.UNDEFINED, steps=steps)
-            try:
-                next_pc, svc = self._execute(fn, pc)
+                next_pc, svc = self._execute(self._fetch(pc), pc)
             except _UserFault as fault:
                 self._exception_entry(ExceptionKind.ABORT, pc)
                 return ExecutionResult(

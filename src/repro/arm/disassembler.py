@@ -65,9 +65,7 @@ def disassemble_word(word: int) -> str:
     return render(instr)
 
 
-def disassemble(
-    words: Sequence[int], base_va: int = 0, annotate_targets: bool = True
-) -> List[str]:
+def disassemble(words: Sequence[int], base_va: int = 0) -> List[str]:
     """Disassemble a program, one line per word, with addresses and
     resolved branch targets."""
     lines = []
@@ -75,11 +73,7 @@ def disassemble(
         va = base_va + index * 4
         text = disassemble_word(word)
         instr = decode(word)
-        if (
-            annotate_targets
-            and instr is not None
-            and instr.op in BRANCH_OPS
-        ):
+        if instr is not None and instr.op in BRANCH_OPS:
             target = va + (instr.imm + 1) * 4
             text += f"    ; -> {target:#x}"
         lines.append(f"{va:#010x}:  {text}")

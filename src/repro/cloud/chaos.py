@@ -156,16 +156,20 @@ class ChaosCampaign:
             kill_stride=self.kill_stride,
             seed=self.seed,
         )
-        # Discovery + goldens on the parent's template, BEFORE the
-        # service starts — afterwards only the degraded executor may
-        # touch this template.
-        spec = {
-            "engine": self.engine,
-            "seed": 0xC10D,
-            "secure_pages": 48,
-            "step_budget": 2_000_000,
-        }
-        template = get_template(spec)
+        service = CloudService(
+            workers=self.workers,
+            engine=self.engine,
+            request_timeout=self.request_timeout,
+            max_attempts=self.max_attempts,
+            # The chaos gate exercises the *pool* path: an injected kill
+            # storm would otherwise trip the breaker and hide the retry
+            # machinery behind degraded serving.
+            breaker_threshold=1_000_000,
+        )
+        # Discovery + goldens on the parent's template for the service's
+        # own spec, BEFORE the service starts — afterwards only the
+        # degraded executor may touch this template.
+        template = get_template(service.spec)
         plan: List[Tuple[CloudRequest, Optional[int]]] = []
         nonce = 0
         for kind in self.kinds:
@@ -181,19 +185,6 @@ class ChaosCampaign:
             plan.append((self._request(kind, _BACKGROUND_NONCE + i), None))
         goldens = {req.key: template.expected(req) for req, _ in plan}
 
-        service = CloudService(
-            workers=self.workers,
-            engine=self.engine,
-            seed=spec["seed"],
-            secure_pages=spec["secure_pages"],
-            step_budget=spec["step_budget"],
-            request_timeout=self.request_timeout,
-            max_attempts=self.max_attempts,
-            # The chaos gate exercises the *pool* path: an injected kill
-            # storm would otherwise trip the breaker and hide the retry
-            # machinery behind degraded serving.
-            breaker_threshold=1_000_000,
-        )
         await service.start()
         try:
             tasks = {

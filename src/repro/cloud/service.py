@@ -235,10 +235,9 @@ class CloudService:
             self._dispatch(entry)
         return await asyncio.shield(entry.future)
 
-    async def audit_workers(
-        self, timeout: float = 30.0
-    ) -> Dict[int, Tuple[List[str], str]]:
-        """Ask every *idle* worker to restore + audit its secure state.
+    async def audit_workers(self) -> Dict[int, Tuple[List[str], str]]:
+        """Ask every *idle* worker to restore + audit its secure state,
+        waiting up to 30 s for each.
 
         Returns ``{worker_id: (violations, rewind_digest)}``.
         """
@@ -253,7 +252,7 @@ class CloudService:
             futures[handle.worker_id] = future
         results: Dict[int, Tuple[List[str], str]] = {}
         for worker_id, future in futures.items():
-            results[worker_id] = await asyncio.wait_for(future, timeout)
+            results[worker_id] = await asyncio.wait_for(future, 30.0)
         return results
 
     def stats(self) -> Dict:

@@ -38,8 +38,8 @@ def _rng_int(rng: HardwareRNG, bits: int) -> int:
     return value & ((1 << bits) - 1)
 
 
-def is_probable_prime(n: int, rng: HardwareRNG, rounds: int = 16) -> bool:
-    """Miller–Rabin primality test with RNG-chosen witnesses."""
+def is_probable_prime(n: int, rng: HardwareRNG) -> bool:
+    """Miller–Rabin primality test with 16 RNG-chosen witnesses."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -52,7 +52,7 @@ def is_probable_prime(n: int, rng: HardwareRNG, rounds: int = 16) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(16):
         a = 2 + _rng_int(rng, n.bit_length()) % (n - 3)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -88,8 +88,9 @@ class RSAKeyPair:
         return (self.n.bit_length() + 7) // 8
 
 
-def generate_keypair(bits: int, rng: HardwareRNG, e: int = 65537) -> RSAKeyPair:
-    """Generate an RSA key pair of ``bits`` modulus bits."""
+def generate_keypair(bits: int, rng: HardwareRNG) -> RSAKeyPair:
+    """Generate an RSA key pair of ``bits`` modulus bits, public exponent
+    65537."""
     if bits < 128:
         raise ValueError("modulus too small to be meaningful")
     half = bits // 2
@@ -101,11 +102,11 @@ def generate_keypair(bits: int, rng: HardwareRNG, e: int = 65537) -> RSAKeyPair:
         n = p * q
         phi = (p - 1) * (q - 1)
         try:
-            d = pow(e, -1, phi)
+            d = pow(65537, -1, phi)
         except ValueError:
             continue
         if n.bit_length() == bits:
-            return RSAKeyPair(n=n, e=e, d=d)
+            return RSAKeyPair(n=n, e=65537, d=d)
 
 
 def _pad_digest(digest: bytes, size: int) -> int:

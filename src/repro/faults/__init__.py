@@ -10,7 +10,7 @@ executable model and checks them:
   invariants via extraction plus an independent machine-level walk);
 * :mod:`repro.faults.campaign` — exhaustive per-step fault campaigns
   over a full enclave lifecycle, with OS-side retry to completion and
-  a fast/reference differential mode;
+  a fast/reference differential through ``parallel.differential``;
 * :mod:`repro.faults.bitflip` — exhaustive single-bit-flip campaigns
   against the memory-integrity engine: every injection must end
   benign, repaired, or quarantined-and-contained, never in a silent
@@ -37,13 +37,11 @@ from repro.faults.bitflip import (
     FlipRecord,
     FlipSite,
 )
-from repro.faults.bitflip import run_differential as run_bitflip_differential
 from repro.faults.campaign import (
     CampaignReport,
     LifecycleCampaign,
     StepReport,
     TrialRecord,
-    run_differential,
 )
 from repro.faults.injector import FaultInjected, FaultPlan, inject
 from repro.faults.snapshot import CampaignSnapshot
@@ -64,7 +62,5 @@ __all__ = [
     "inject",
     "integrity_consistency",
     "machine_consistency",
-    "run_bitflip_differential",
-    "run_differential",
     "secure_state_digest",
 ]

@@ -35,9 +35,10 @@ immediate), not DRAM — and a flip there would silently disable the
 engine, which is exactly the corruptible-status-word failure mode the
 design avoids by *not* keying any trust decision off mutable state.
 
-``run_differential`` repeats a campaign under each requested execution
-engine (any subset of fast/reference/turbo): per-trial outcomes, final
-digests and cycle counters must agree bit-for-bit.
+``parallel.differential`` with this module's ``compare_reports``
+repeats a campaign under each requested execution engine (any subset of
+fast/reference/turbo): per-trial outcomes, final digests and cycle
+counters must agree bit-for-bit.
 
 One machine (monitor + OS kernel) is advanced through the quiescent
 steps; at each, the golden run and every flip fork from one
@@ -56,7 +57,7 @@ from repro.arm.memory import PAGE_SIZE, WORDS_PER_PAGE
 from repro.arm.pagetable import l1_index, l2_index
 from repro.faults.audit import audit_monitor, integrity_consistency, secure_state_digest
 from repro.faults.driver import Campaign, Record, Report, Step
-from repro.faults.parallel import compare_steps, differential
+from repro.faults.parallel import compare_steps
 from repro.faults.snapshot import CampaignSnapshot
 from repro.monitor import integrity
 from repro.monitor.errors import KomErr
@@ -538,15 +539,6 @@ class BitflipCampaign(Campaign):
         record.digest = outcome.final_digest
         record.cycles = outcome.final_cycles
         record.violations.extend(violations)
-
-
-def run_differential(
-    *, engines: Tuple[str, ...] = ("fast", "reference"), **kwargs
-) -> Tuple:
-    """``(*reports, mismatches)``: the campaign (``kwargs``) under each
-    engine, compared pairwise."""
-    campaigns = [BitflipCampaign(engine=engine, **kwargs) for engine in engines]
-    return differential(campaigns, compare_reports)
 
 
 def compare_reports(

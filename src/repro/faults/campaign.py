@@ -23,11 +23,12 @@ The campaign's enclave program performs no user-mode stores, so the
 quiescent digests classify states exactly; randomness comes only from
 the seeded ``HardwareRNG``, keeping every trial bit-deterministic.
 
-``run_differential`` runs the same campaign under each requested
-execution engine (any subset of fast/reference/turbo) and compares
-their per-step operation counts, digests, and cycle counters —
-injected aborts must not let the decode cache, micro-TLB, or compiled
-block cache desynchronise from flat memory.
+``parallel.differential`` with this module's ``compare_reports`` runs
+the same campaign under each requested execution engine (any subset of
+fast/reference/turbo) and compares their per-step operation counts,
+digests, and cycle counters — injected aborts must not let the decode
+cache, micro-TLB, or compiled block cache desynchronise from flat
+memory.
 
 Discovery and every trial fork from one pre-step ``CampaignSnapshot``
 through the shared driver loop (``repro.faults.driver``).
@@ -43,7 +44,7 @@ from repro.arm.pagetable import l1_index
 from repro.faults.audit import audit_monitor, secure_state_digest
 from repro.faults.driver import Campaign, Record, Report, Step
 from repro.faults.injector import FaultInjected, FaultPlan, inject
-from repro.faults.parallel import compare_steps, differential
+from repro.faults.parallel import compare_steps
 from repro.faults.snapshot import CampaignSnapshot
 from repro.monitor.errors import KomErr
 from repro.monitor.komodo import KomodoMonitor
@@ -335,15 +336,6 @@ class LifecycleCampaign(Campaign):
                 f"{where}: recovered state is neither pre-call nor completed"
             )
         violations.extend(self._finish_after_crash(trial, self.steps, index))
-
-
-def run_differential(
-    *, engines: Tuple[str, ...] = ("fast", "reference"), **kwargs
-) -> Tuple:
-    """``(*reports, mismatches)``: the campaign (``kwargs``) under each
-    engine, compared pairwise."""
-    campaigns = [LifecycleCampaign(engine=engine, **kwargs) for engine in engines]
-    return differential(campaigns, compare_reports)
 
 
 def compare_reports(

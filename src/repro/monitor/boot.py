@@ -49,11 +49,9 @@ class Bootloader:
     def __init__(
         self,
         secure_pages: int = 64,
-        insecure_size: int = 0x100000,
         rng: Optional[HardwareRNG] = None,
     ):
         self.secure_pages = secure_pages
-        self.insecure_size = insecure_size
         self.rng = rng or HardwareRNG()
 
     def boot(self, state: Optional[MachineState] = None) -> tuple:
@@ -67,9 +65,7 @@ class Bootloader:
         4. switch to normal world, SVC mode, interrupts enabled, ready
            to run the untrusted OS.
         """
-        state = state or MachineState.boot(
-            secure_pages=self.secure_pages, insecure_size=self.insecure_size
-        )
+        state = state or MachineState.boot(secure_pages=self.secure_pages)
         if state.world is not World.SECURE:
             raise RuntimeError("the bootloader must start in secure world")
         pagedb = PageDB(state)

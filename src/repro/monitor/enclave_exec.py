@@ -506,12 +506,12 @@ def _run_native(
             _scrub_return_registers(mon)
             integrity.refresh_data_tags(mon, asno)
             return EnterOutcome(KomErr.SUCCESS, int(retval) & 0xFFFFFFFF)
-        except NativeFault as fault:
+        except NativeFault:
             mon.discard_native_thread(thread_page)
             _leave_user_mode(mon)
             _scrub_return_registers(mon)
             integrity.refresh_data_tags(mon, asno)
-            return EnterOutcome(KomErr.FAULT, fault.code)
+            return EnterOutcome(KomErr.FAULT, FAULT_ABORT)
         if yielded is not None:
             raise RuntimeError("native programs must yield None at preemption points")
         steps += 1
@@ -527,8 +527,8 @@ def _run_native(
 
 
 class NativeFault(Exception):
-    """Raised by a native program's context on a memory/permission fault."""
+    """Raised by a native program's context on a memory/permission fault;
+    the enclave exits with ``FAULT_ABORT``."""
 
-    def __init__(self, code: int = FAULT_ABORT):
+    def __init__(self):
         super().__init__("native enclave fault")
-        self.code = code

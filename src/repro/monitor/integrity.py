@@ -177,21 +177,6 @@ def _entry_stores(
     )
 
 
-def _twrite(state: MachineState, address: int, value: int) -> None:
-    """An engine write: zero cycles, buffered if a transaction is open."""
-    if state.txn is not None:
-        state.txn.record_write(address, value)
-        return
-    state.memory.write_word(address, value)
-
-
-def _tzero(state: MachineState, base: int) -> None:
-    if state.txn is not None:
-        state.txn.record_zero(base)
-        return
-    state.memory.zero_page(base)
-
-
 # ---------------------------------------------------------------------------
 # Region lifecycle
 # ---------------------------------------------------------------------------
@@ -503,7 +488,7 @@ def mark_dirty(mon: "KomodoMonitor", asno: int) -> None:
     if state.memory.read_word(address):
         return
     run_transactional(
-        state, lambda: _twrite(state, address, 1), commit_if=lambda _: True
+        state, lambda: state.txn.record_write(address, 1), commit_if=lambda _: True
     )
 
 
@@ -530,6 +515,7 @@ def _quarantine_in_txn(
     minimally sane: state STOPPED, refcount recomputed from the PageDB,
     nothing else — the enclave is gone, but the teardown ABI still works.
     """
+    txn = state.txn
     memmap = state.memmap
     base = memmap.monitor_image.base
     npages = memmap.secure_pages
@@ -537,7 +523,7 @@ def _quarantine_in_txn(
     # land on the rebuilt state word, not the about-to-be-zeroed page.
     for pageno in sorted(suspects, key=lambda p: types[p] != int(PageType.ADDRSPACE)):
         page_base = memmap.page_base(pageno)
-        _tzero(state, page_base)
+        txn.record_zero(page_base)
         if types[pageno] == int(PageType.ADDRSPACE):
             refcount = sum(
                 1
@@ -546,21 +532,19 @@ def _quarantine_in_txn(
                 and type_word != int(PageType.FREE)
                 and owners[other] == pageno
             )
-            _twrite(
-                state,
+            txn.record_write(
                 page_base + AS_STATE_WORD * WORDSIZE,
                 int(AddrspaceState.STOPPED),
             )
-            _twrite(state, page_base + AS_REFCOUNT_WORD * WORDSIZE, refcount)
+            txn.record_write(page_base + AS_REFCOUNT_WORD * WORDSIZE, refcount)
         else:
             owner = owners[pageno]
             if types.get(owner) == int(PageType.ADDRSPACE):
-                _twrite(
-                    state,
+                txn.record_write(
                     memmap.page_base(owner) + AS_STATE_WORD * WORDSIZE,
                     int(AddrspaceState.STOPPED),
                 )
-        _twrite(state, itag_quarantine_addr(base, npages, pageno), 1)
+        txn.record_write(itag_quarantine_addr(base, npages, pageno), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +585,7 @@ def precheck(mon: "KomodoMonitor", enter_thread: int = None) -> PrecheckReport:
 
         def _contain():
             for address, value in fixes:
-                _twrite(state, address, value)
+                state.txn.record_write(address, value)
             _quarantine_in_txn(state, types, owners, suspects)
 
         run_transactional(state, _contain, commit_if=lambda _: True)
@@ -626,7 +610,7 @@ def scrub(mon: "KomodoMonitor") -> PrecheckReport:
     types, owners, fixes, repaired = check_pagedb(state)
     report.repaired = repaired
     for address, value in fixes:
-        _twrite(state, address, value)
+        state.txn.record_write(address, value)
     # DATA pages of a metadata suspect are left to its quarantine.
     clean = set(owners.values()) - _dirty_addrspaces(state)
     suspects = _survey(state, types, owners, clean.difference)
@@ -635,7 +619,7 @@ def scrub(mon: "KomodoMonitor") -> PrecheckReport:
         if type_word in _NEVER_TAGGED and any(
             state.memory.read_words(page_base, WORDS_PER_PAGE)
         ):
-            _tzero(state, page_base)
+            state.txn.record_zero(page_base)
             report.healed += 1
     base = memmap.monitor_image.base
     npages = memmap.secure_pages
@@ -643,12 +627,12 @@ def scrub(mon: "KomodoMonitor") -> PrecheckReport:
     # flags off addrspace pages (a genuine one belongs to an addrspace).
     for pageno, _owner in _stray_flags(state, types, owners):
         if pageno not in suspects:
-            _twrite(state, itag_quarantine_addr(base, npages, pageno), 0)
+            state.txn.record_write(itag_quarantine_addr(base, npages, pageno), 0)
             report.healed += 1
     dirty_flags = state.memory.read_words(itag_dirty_addr(base, npages, 0), npages)
     for asno, flag in enumerate(dirty_flags):
         if flag and types[asno] != int(PageType.ADDRSPACE):
-            _twrite(state, itag_dirty_addr(base, npages, asno), 0)
+            state.txn.record_write(itag_dirty_addr(base, npages, asno), 0)
             report.healed += 1
     _quarantine_in_txn(state, types, owners, suspects)
     report.quarantined = sorted(suspects)
@@ -685,12 +669,11 @@ def refresh_data_tags(mon: "KomodoMonitor", asno: int) -> None:
 
     def _retag():
         for pageno in data_pages:
-            _twrite(
-                state,
+            state.txn.record_write(
                 itag_page_tag_addr(base, npages, pageno),
                 _page_crc(state.memory, memmap.page_base(pageno)),
             )
-        _twrite(state, itag_dirty_addr(base, npages, asno), 0)
+        state.txn.record_write(itag_dirty_addr(base, npages, asno), 0)
 
     run_transactional(state, _retag, commit_if=lambda _: True)
 

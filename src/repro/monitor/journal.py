@@ -300,9 +300,17 @@ class MonitorTransaction:
     def read_words(
         self, memory: PhysicalMemory, address: int, count: int
     ) -> List[int]:
-        """Bulk read merging buffered stores over physical memory."""
-        words = memory.read_words(address, count)
+        """Bulk read merging buffered stores over physical memory.
+
+        A span inside one page this transaction zeroed or copied is read
+        from the pending image alone, without touching memory.
+        """
         pages = self._pages
+        first = (address & _PAGE_MASK) >> 2
+        page = pages.get(address >> _PAGE_SHIFT)
+        if type(page) is list and first + count <= WORDS_PER_PAGE:
+            return page[first : first + count]
+        words = memory.read_words(address, count)
         if not pages or not count:
             return words
         end = address + count * WORDSIZE

@@ -149,21 +149,20 @@ class AdversarialOS:
         err, _ = self.monitor.smc(SMC.REMOVE, pageno)
         return err
 
-    def interrupt_storm(
-        self, thread_page: int, max_entries: int = 50, deadline_range: int = 16
-    ) -> Tuple[KomErr, int, int]:
-        """Run a thread, interrupting at random points and resuming.
+    def interrupt_storm(self, thread_page: int) -> Tuple[KomErr, int, int]:
+        """Run a thread, interrupting it 1-15 steps after each entry, for
+        up to 50 resumes; then resume it uninterrupted.
 
         Returns the final (err, value) plus how many interrupts landed.
         """
         interrupts = 0
-        self.monitor.schedule_interrupt(self.random.randrange(1, deadline_range))
+        self.monitor.schedule_interrupt(self.random.randrange(1, 16))
         err, value = self.monitor.smc(SMC.ENTER, thread_page, 0, 0, 0)
-        for _ in range(max_entries):
+        for _ in range(50):
             if err is not KomErr.INTERRUPTED:
                 break
             interrupts += 1
-            self.monitor.schedule_interrupt(self.random.randrange(1, deadline_range))
+            self.monitor.schedule_interrupt(self.random.randrange(1, 16))
             err, value = self.monitor.smc(SMC.RESUME, thread_page)
         else:
             err, value = self.monitor.smc(SMC.RESUME, thread_page)

@@ -183,15 +183,15 @@ class OSKernel:
         arg1: int = 0,
         arg2: int = 0,
         arg3: int = 0,
-        max_resumes: int = 10_000,
     ) -> Tuple[KomErr, int]:
         """Enter a thread and keep resuming across interrupts until it
-        exits or faults — what a scheduler-driven kernel does."""
+        exits or faults — what a scheduler-driven kernel does.  More than
+        10,000 resumes raise ``OSError_``."""
         err, value = self.enter(thread_page, arg1, arg2, arg3)
         resumes = 0
         while err is KomErr.INTERRUPTED:
             resumes += 1
-            if resumes > max_resumes:
+            if resumes > 10_000:
                 raise OSError_("enclave did not terminate")
             err, value = self.resume(thread_page)
         return (err, value)
@@ -248,27 +248,23 @@ class OSKernel:
         self,
         issue,
         *,
-        transient: Tuple[KomErr, ...] = (KomErr.PAGE_QUARANTINED,),
         attempts: int = 4,
         seed: int = 0,
-        base_delay: int = 64,
-        cap: Optional[int] = None,
         deadline: Optional[int] = None,
     ) -> Tuple[KomErr, int]:
         """Bounded retry of a transient SMC outcome, with seeded backoff.
 
         ``issue`` is a zero-argument callable returning ``(err, value)``
-        — typically a lambda re-issuing one SMC.  Outcomes in
-        ``transient`` may clear up after the system state changes:
-        ``PAGE_QUARANTINED`` from a precheck that contained corruption
-        in *some* page (the next attempt runs against the repaired
-        state), or a contended monitor lock on a multicore platform.
+        — typically a lambda re-issuing one SMC.  ``PAGE_QUARANTINED``
+        is transient: a precheck that contained corruption in *some*
+        page may pass on the next attempt, which runs against the
+        repaired state.
 
         The backoff between attempts is a deterministic, seeded,
-        exponentially growing spin (``repro.util.backoff``) charged to
-        the machine's cycle counter — never wall-clock — so campaign
-        runs that exercise this path are bit-reproducible and the cost
-        model sees the waiting.  ``cap`` bounds a single spin;
+        exponentially growing spin (``repro.util.backoff``, base delay
+        64 cycles, uncapped) charged to the machine's cycle counter —
+        never wall-clock — so campaign runs that exercise this path are
+        bit-reproducible and the cost model sees the waiting.
         ``deadline`` (absolute, in cycles) refuses any wait that would
         end past it.  Returns the final ``(err, value)`` after at most
         ``attempts`` issues (the last error, still transient, if none
@@ -277,12 +273,9 @@ class OSKernel:
         ``issue()`` leaves no retry state on the kernel.
         """
         state = self.monitor.state
-        policy = BackoffPolicy(
-            base_delay=base_delay, attempts=attempts, cap=cap, deadline=deadline
-        )
-        session = policy.session(seed)
+        session = BackoffPolicy(attempts=attempts, deadline=deadline).session(seed)
         err, value = issue()
-        while err in transient:
+        while err is KomErr.PAGE_QUARANTINED:
             delay = session.next_delay(now=state.cycles)
             if delay is None:
                 break
@@ -299,19 +292,18 @@ class OSKernel:
         value = self.smc_checked(SMC.SCRUB)
         return (value >> 16, value & 0xFFFF)
 
-    def recover_execution(
-        self, thread_page: int, arg1: int = 0, arg2: int = 0, arg3: int = 0
-    ) -> Tuple[KomErr, int]:
+    def recover_execution(self, thread_page: int) -> Tuple[KomErr, int]:
         """Resume running a thread whose Enter/Resume crashed.
 
         Depending on where the crash hit, the thread is either still
         suspended (entered, context saved — Resume it) or was never /
-        no longer entered (Enter it fresh).  Either way, keep resuming
-        across interrupts as ``run_to_completion`` does.
+        no longer entered (Enter it fresh, with zero arguments).  Either
+        way, keep resuming across interrupts as ``run_to_completion``
+        does.
         """
         err, value = self.resume(thread_page)
         if err in (KomErr.NOT_ENTERED, KomErr.INVALID_THREAD):
-            return self.run_to_completion(thread_page, arg1, arg2, arg3)
+            return self.run_to_completion(thread_page)
         resumes = 0
         while err is KomErr.INTERRUPTED:
             resumes += 1

@@ -46,7 +46,9 @@ RETRY_POLICY = BackoffPolicy(base_delay=2, attempts=16, cap=32)
 #: Stage respawn schedule after a crash, in poll-round units.
 RESPAWN_POLICY = BackoffPolicy(base_delay=1, attempts=16, cap=8)
 
-DEFAULT_CRASH_BUDGET = 8
+#: Crashes a stage pump (or the checksum leg) survives before the saga
+#: gives up with ``StageRetryExhausted``.
+CRASH_BUDGET = 8
 DEFAULT_ROUND_BUDGET = 600
 
 
@@ -79,11 +81,11 @@ def stage_pump(
     saga: SagaState,
     stage,
     *,
-    crash_budget: int = DEFAULT_CRASH_BUDGET,
-    policy: BackoffPolicy = RESPAWN_POLICY,
     start_after_rounds: int = 0,
 ):
-    """A core-script factory that keeps one stage enclave polled.
+    """A core-script factory that keeps one stage enclave polled,
+    respawning it on ``RESPAWN_POLICY`` after each of up to
+    ``CRASH_BUDGET`` crashes.
 
     ``start_after_rounds`` delays the pump's first poll — modelling a
     starved or slowly-scheduled stage, which the compensation tests use
@@ -93,24 +95,22 @@ def stage_pump(
     name = stage.name
 
     def factory(core_id: int):
-        return _pump_script(
-            saga, name, thread, core_id, crash_budget, policy, start_after_rounds
-        )
+        return _pump_script(saga, name, thread, core_id, start_after_rounds)
 
     return factory
 
 
-def _pump_script(saga, name, thread, core_id, crash_budget, policy, start_after):
-    backoff = policy.session(seed=core_id * 7919 + 1)
+def _pump_script(saga, name, thread, core_id, start_after):
+    backoff = RESPAWN_POLICY.session(seed=core_id * 7919 + 1)
     crashes = 0
 
     def _crashed():
         nonlocal crashes
         crashes += 1
         saga.stage_crashes[name] = crashes
-        if crashes > crash_budget:
+        if crashes > CRASH_BUDGET:
             error = StageRetryExhausted(
-                f"stage {name} failed {crashes} times (budget {crash_budget})"
+                f"stage {name} failed {crashes} times (budget {CRASH_BUDGET})"
             )
             saga.fail(error)
             raise error
@@ -163,13 +163,13 @@ def coordinator(
     pipeline,
     requests: Sequence[Sequence[int]],
     *,
-    retry_policy: BackoffPolicy = RETRY_POLICY,
     round_budget: int = DEFAULT_ROUND_BUDGET,
     abort_after_rounds: Optional[Dict[int, int]] = None,
     checksum=None,
 ):
     """A core-script factory driving transactions 1..N through the
-    pipeline.  ``abort_after_rounds`` maps a txid to the round count
+    pipeline, retransmitting each request on ``RETRY_POLICY``.
+    ``abort_after_rounds`` maps a txid to the round count
     after which the coordinator compensates (sends an abort) instead of
     waiting for completion.  ``checksum`` (a ``ChecksumService``) adds a
     machine-code CRC leg over each successful reply — the pipeline's
@@ -179,15 +179,13 @@ def coordinator(
 
     def factory(core_id: int):
         return _coordinator_script(
-            saga, pipeline, requests, retry_policy, round_budget, aborts, checksum
+            saga, pipeline, requests, round_budget, aborts, checksum
         )
 
     return factory
 
 
-def _coordinator_script(
-    saga, pipeline, requests, retry_policy, round_budget, aborts, checksum
-):
+def _coordinator_script(saga, pipeline, requests, round_budget, aborts, checksum):
     try:
         for index, payload in enumerate(requests):
             txid = index + 1
@@ -196,7 +194,6 @@ def _coordinator_script(
                 pipeline,
                 txid,
                 list(payload),
-                retry_policy,
                 round_budget,
                 aborts.get(txid),
             )
@@ -215,10 +212,8 @@ def _coordinator_script(
         raise
 
 
-def _drive_transaction(
-    saga, pipeline, txid, payload, retry_policy, round_budget, abort_after
-):
-    backoff = retry_policy.session(seed=txid)
+def _drive_transaction(saga, pipeline, txid, payload, round_budget, abort_after):
+    backoff = RETRY_POLICY.session(seed=txid)
     rounds = 0
     due = 0  # round at which the next retransmission is owed
     aborting = False
@@ -241,7 +236,7 @@ def _drive_transaction(
             return frame
         if abort_after is not None and rounds >= abort_after and not aborting:
             aborting = True
-            backoff = retry_policy.session(seed=txid ^ 0xAB0B7)
+            backoff = RETRY_POLICY.session(seed=txid ^ 0xAB0B7)
             due = rounds  # compensate immediately
         if rounds >= due:
             pipeline.ingress.send(
@@ -280,7 +275,7 @@ def _await_quiescence(saga, pipeline, round_budget):
     raise SagaStalled(f"stage links not quiescent after {round_budget} rounds")
 
 
-def _checksum_leg(checksum, words, crash_budget: int = DEFAULT_CRASH_BUDGET):
+def _checksum_leg(checksum, words):
     """Run the machine-code CRC enclave over reply words, with the same
     crash-respawn discipline as a stage pump."""
     checksum.handle.buffer().write_words(checksum.kernel, words)
@@ -290,7 +285,7 @@ def _checksum_leg(checksum, words, crash_budget: int = DEFAULT_CRASH_BUDGET):
     while True:
         if result is None:
             crashes += 1
-            if crashes > crash_budget:
+            if crashes > CRASH_BUDGET:
                 raise StageRetryExhausted(
                     f"checksum leg failed {crashes} times"
                 )
@@ -306,7 +301,7 @@ def _checksum_leg(checksum, words, crash_budget: int = DEFAULT_CRASH_BUDGET):
         if err is KomErr.SUCCESS:
             return value
         crashes += 1
-        if crashes > crash_budget:
+        if crashes > CRASH_BUDGET:
             raise StageRetryExhausted(f"checksum leg rejected: {err!r}")
         result = yield ("smc", SMC.ENTER, thread, len(words), 0, 0)
 
@@ -334,10 +329,7 @@ def run_pipeline(
     abort_after_rounds: Optional[Dict[int, int]] = None,
     start_after_rounds: Optional[Dict[str, int]] = None,
     checksum=None,
-    crash_budget: int = DEFAULT_CRASH_BUDGET,
     round_budget: int = DEFAULT_ROUND_BUDGET,
-    retry_policy: BackoffPolicy = RETRY_POLICY,
-    respawn_policy: BackoffPolicy = RESPAWN_POLICY,
     max_steps: int = 100_000,
 ) -> PipelineOutcome:
     """Wire a coordinator plus one pump per stage into ``machine`` and
@@ -353,7 +345,6 @@ def run_pipeline(
             saga,
             pipeline,
             requests,
-            retry_policy=retry_policy,
             round_budget=round_budget,
             abort_after_rounds=abort_after_rounds,
             checksum=checksum,
@@ -364,8 +355,6 @@ def run_pipeline(
             stage_pump(
                 saga,
                 stage,
-                crash_budget=crash_budget,
-                policy=respawn_policy,
                 start_after_rounds=delays.get(stage.name, 0),
             )
         )

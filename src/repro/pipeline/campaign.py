@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arm.bits import words_to_bytes
 from repro.arm.machine import FaultInjected, MachineState
@@ -75,9 +75,8 @@ class RepeatingFaultPlan(FaultPlan):
         abort_at: int,
         period: int,
         max_fires: Optional[int] = 16,
-        kinds: Optional[Set[str]] = None,
     ) -> None:
-        super().__init__(abort_at=abort_at, kinds=kinds)
+        super().__init__(abort_at=abort_at)
         if period < 1:
             raise ValueError("period must be at least 1")
         self.period = period
@@ -225,7 +224,6 @@ class PipelineCampaign(Campaign):
         stride: int = 1,
         requests: Optional[Sequence[Sequence[int]]] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
-        with_checksum: Optional[bool] = None,
         trial_timeout: Optional[float] = None,
         shard: Optional[Tuple[int, int]] = None,
     ):
@@ -242,11 +240,9 @@ class PipelineCampaign(Campaign):
         self.pipeline = build_pipeline(kind, self.kernel)
         # The machine-code CRC leg makes the campaign engine-sensitive
         # (the tri-engine differential's anchor); it rides on the relay
-        # pipeline by default.
-        if with_checksum is None:
-            with_checksum = isinstance(self.pipeline, AttestSignSealPipeline)
+        # pipeline.
         self.checksum = None
-        if with_checksum:
+        if isinstance(self.pipeline, AttestSignSealPipeline):
             from repro.apps.checksum import ChecksumService
 
             self.checksum = ChecksumService(self.kernel)
@@ -357,24 +353,10 @@ class PipelineCampaign(Campaign):
 
 
 def run_campaign(
-    kind: str,
-    *,
-    engine: str = "turbo",
-    seed: int = DEFAULT_SEED,
-    stride: int = 1,
-    requests: Optional[Sequence[Sequence[int]]] = None,
-    secure_pages: int = DEFAULT_SECURE_PAGES,
-    shard: Optional[Tuple[int, int]] = None,
+    kind: str, *, engine: str = "turbo", stride: int = 1
 ) -> PipelineReport:
-    return PipelineCampaign(
-        kind,
-        engine=engine,
-        seed=seed,
-        stride=stride,
-        requests=requests,
-        secure_pages=secure_pages,
-        shard=shard,
-    ).run()
+    """One whole sweep of ``kind`` on the campaign defaults."""
+    return PipelineCampaign(kind, engine=engine, stride=stride).run()
 
 
 def tri_engine_digests(
@@ -382,15 +364,13 @@ def tri_engine_digests(
     engines: Sequence[str] = ("reference", "fast", "turbo"),
     *,
     seed: int = DEFAULT_SEED,
-    requests: Optional[Sequence[Sequence[int]]] = None,
 ) -> Dict[str, str]:
-    """Golden logical digests per engine.  The pipeline result must be
-    engine-invariant; a split is an engine bug, not a pipeline bug."""
+    """Golden logical digests per engine on the default requests.  The
+    pipeline result must be engine-invariant; a split is an engine bug,
+    not a pipeline bug."""
     digests: Dict[str, str] = {}
     for engine in engines:
-        campaign = PipelineCampaign(
-            kind, engine=engine, seed=seed, requests=requests
-        )
+        campaign = PipelineCampaign(kind, engine=engine, seed=seed)
         outcome = campaign._run_once(FaultPlan())
         digests[engine] = outcome_digest(campaign.pipeline, outcome)
     return digests

@@ -69,17 +69,20 @@ class EnclaveBuilder:
 
     # -- description -------------------------------------------------------
 
-    def add_code(self, asm: Assembler, va: int = CODE_VA) -> "EnclaveBuilder":
-        """Add assembled code, split across as many pages as needed."""
+    def add_code(self, asm: Assembler) -> "EnclaveBuilder":
+        """Add assembled code at ``CODE_VA``, split across as many pages
+        as needed."""
         words = asm.assemble()
         if not words:
             raise BuildError("empty program")
-        self._code_regions.append((va, list(words)))
+        self._code_regions.append((CODE_VA, list(words)))
         for offset in range(0, len(words), WORDS_PER_PAGE):
             chunk = words[offset : offset + WORDS_PER_PAGE]
             self._pages.append(
                 _PendingPage(
-                    va=va + offset * 4, perms=(True, False, True), contents=list(chunk)
+                    va=CODE_VA + offset * 4,
+                    perms=(True, False, True),
+                    contents=list(chunk),
                 )
             )
         return self
@@ -89,16 +92,16 @@ class EnclaveBuilder:
         contents: Optional[Sequence[int]] = None,
         va: int = DATA_VA,
         writable: bool = True,
-        executable: bool = False,
     ) -> "EnclaveBuilder":
-        """Add one secure data page (measured, private to the enclave)."""
+        """Add one secure, non-executable data page (measured, private to
+        the enclave)."""
         if contents is not None and len(contents) > WORDS_PER_PAGE:
             raise BuildError("data exceeds one page")
         padded = None
         if contents is not None:
             padded = list(contents) + [0] * (WORDS_PER_PAGE - len(contents))
         self._pages.append(
-            _PendingPage(va=va, perms=(True, writable, executable), contents=padded)
+            _PendingPage(va=va, perms=(True, writable, False), contents=padded)
         )
         return self
 
@@ -122,18 +125,17 @@ class EnclaveBuilder:
         self._spares += count
         return self
 
-    def set_native_program(
-        self, program: NativeEnclaveProgram, identity_va: int = IDENTITY_VA
-    ) -> "EnclaveBuilder":
-        """Use a native program; its identity page becomes measured state."""
+    def set_native_program(self, program: NativeEnclaveProgram) -> "EnclaveBuilder":
+        """Use a native program; its identity page, at ``IDENTITY_VA``,
+        becomes measured state."""
         self._native = program
         self.add_data(
-            contents=program.identity_words(), va=identity_va, writable=False
+            contents=program.identity_words(), va=IDENTITY_VA, writable=False
         )
         if not self._threads:
             # Native threads still need an entry point for the ABI; the
             # identity page's VA is a stable, measured choice.
-            self._threads.append(identity_va)
+            self._threads.append(IDENTITY_VA)
         return self
 
     # -- static analysis ---------------------------------------------------

@@ -109,21 +109,21 @@ class BisimulationHarness:
     def __init__(
         self,
         secure_pages: int = 32,
-        seed: int = 0xC0FFEE,
         step_budget: int = 100_000,
     ):
+        """Two monitors whose RNGs are both seeded ``0xC0FFEE``."""
         self.worlds = (
             World(
                 KomodoMonitor(
                     secure_pages=secure_pages,
-                    rng=HardwareRNG(seed),
+                    rng=HardwareRNG(0xC0FFEE),
                     step_budget=step_budget,
                 )
             ),
             World(
                 KomodoMonitor(
                     secure_pages=secure_pages,
-                    rng=HardwareRNG(seed),
+                    rng=HardwareRNG(0xC0FFEE),
                     step_budget=step_budget,
                 )
             ),
@@ -189,15 +189,15 @@ class BisimulationHarness:
         trace: Sequence[OSAction],
         enc,
         adversary_view: bool,
-        check_each_step: bool = True,
     ) -> None:
         """Run the adversary trace in both worlds, checking as we go.
 
-        With ``adversary_view`` (confidentiality), every OS-observable
-        outcome must match between worlds, and ≈adv must hold after every
-        step.  Without it (integrity), only the final ≈enc check matters:
-        the adversary perturbation may legitimately change OS-visible
-        outcomes, but never the trusted enclave's state.
+        After every step the worlds must stay related.  With
+        ``adversary_view`` (confidentiality), every OS-observable outcome
+        must match between worlds, and ≈adv must hold.  Without it
+        (integrity), ≈enc must hold: the adversary perturbation may
+        legitimately change OS-visible outcomes, but never the trusted
+        enclave's state.
 
         ``enc`` may be a coalition (sequence of addrspace page numbers)
         — e.g. two pipeline stages pooling their views against a third
@@ -217,6 +217,5 @@ class BisimulationHarness:
                         f"step {step}: return values diverged: "
                         f"{out1.value:#x} vs {out2.value:#x}"
                     )
-            if check_each_step:
-                self.require_related(enc, adversary_view)
+            self.require_related(enc, adversary_view)
         self.require_related(enc, adversary_view)

@@ -57,9 +57,10 @@ class LeakReport:
     profiles: List[Profile] = field(default_factory=list)
 
 
-def profile(program: Assembler, secret_words: Sequence[int], max_steps=200_000) -> Profile:
+def profile(program: Assembler, secret_words: Sequence[int]) -> Profile:
     """Run ``program`` with ``secret_words`` mapped read-only at
-    SECRET_VA and record its observable behaviour."""
+    SECRET_VA, for at most 200,000 steps, and record its observable
+    behaviour."""
     state = MachineState.boot(secure_pages=8)
     memmap = state.memmap
     l1 = memmap.page_base(0)
@@ -89,7 +90,7 @@ def profile(program: Assembler, secret_words: Sequence[int], max_steps=200_000) 
     state.regs.cpsr = PSR(mode=Mode.USR, irq_masked=False, fiq_masked=False)
     cpu = CPU(state)
     cpu.access_trace = []
-    result = cpu.run(CODE_VA, max_steps=max_steps)
+    result = cpu.run(CODE_VA, max_steps=200_000)
     return Profile(steps=result.steps, trace=cpu.access_trace, exit_reason=result.reason)
 
 

@@ -31,13 +31,13 @@ class InvariantViolation(AssertionError):
     """A PageDB state failed a validity invariant."""
 
 
-def check_invariants(db: AbsPageDb, memmap=None) -> None:
+def check_invariants(db: AbsPageDb) -> None:
     """Check every validity invariant; raises InvariantViolation.
 
-    ``memmap`` (optional) enables the insecure-range checks on insecure
-    mappings; without it those are skipped.
+    The insecure-range checks on insecure mappings need the memory map,
+    so they are skipped here (``collect_violations`` takes one).
     """
-    failures = collect_violations(db, memmap) + collect_refcount_violations(db)
+    failures = collect_violations(db) + collect_refcount_violations(db)
     if failures:
         raise InvariantViolation("; ".join(failures))
 

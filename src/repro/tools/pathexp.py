@@ -41,17 +41,20 @@ BASELINE_PATH = (
 BASELINE_VERSION = 1
 
 
-def load_baseline(path: pathlib.Path = BASELINE_PATH) -> Optional[Dict]:
-    if not path.is_file():
+def load_baseline() -> Optional[Dict]:
+    """The committed census at ``BASELINE_PATH``, or None if absent."""
+    if not BASELINE_PATH.is_file():
         return None
-    with open(path) as handle:
+    with open(BASELINE_PATH) as handle:
         data = json.load(handle)
     if data.get("version") != BASELINE_VERSION:
-        raise SystemExit(f"pathexp: unsupported baseline version in {path}")
+        raise SystemExit(f"pathexp: unsupported baseline version in {BASELINE_PATH}")
     return data["census"]
 
-def save_baseline(census: Dict, path: pathlib.Path = BASELINE_PATH) -> None:
-    with open(path, "w") as handle:
+
+def save_baseline(census: Dict) -> None:
+    """Rewrite the committed census at ``BASELINE_PATH``."""
+    with open(BASELINE_PATH, "w") as handle:
         json.dump(
             {"version": BASELINE_VERSION, "census": census},
             handle,

@@ -5,8 +5,9 @@ import pytest
 from repro.faults.bitflip import (
     TARGET_FAMILIES,
     BitflipCampaign,
-    run_differential,
+    compare_reports,
 )
+from repro.faults.parallel import differential
 
 
 class TestCampaign:
@@ -56,7 +57,13 @@ class TestCampaign:
 
 class TestDifferential:
     def test_engines_agree_bit_for_bit(self):
-        fast, reference, mismatches = run_differential(stride=257)
+        fast, reference, mismatches = differential(
+            [
+                BitflipCampaign(engine=engine, stride=257)
+                for engine in ("fast", "reference")
+            ],
+            compare_reports,
+        )
         assert mismatches == []
         assert fast.ok and reference.ok
         assert fast.total_trials == reference.total_trials > 0

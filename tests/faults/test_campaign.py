@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.faults.campaign import LifecycleCampaign, run_differential
+from repro.faults.campaign import LifecycleCampaign, compare_reports
+from repro.faults.parallel import differential
 
 
 class TestBoundedCampaign:
@@ -57,8 +58,14 @@ class TestDifferential:
         """Injected aborts must not desynchronise the fast engine's
         decode cache / micro-TLB from flat memory: both engines report
         identical op counts, digests, and cycle counters."""
-        fast, reference, mismatches = run_differential(
-            inject_steps=["stop"], stride=2, secure_pages=16
+        fast, reference, mismatches = differential(
+            [
+                LifecycleCampaign(
+                    engine=engine, inject_steps=["stop"], stride=2, secure_pages=16
+                )
+                for engine in ("fast", "reference")
+            ],
+            compare_reports,
         )
         assert mismatches == []
         assert fast.ok and reference.ok

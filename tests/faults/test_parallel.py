@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.faults.bitflip import BitflipCampaign
-from repro.faults.campaign import LifecycleCampaign, compare_reports, run_differential
+from repro.faults.campaign import LifecycleCampaign, compare_reports
 from repro.faults.parallel import (
     MergeError,
     ShardError,
@@ -115,10 +115,13 @@ class TestShardedEqualsSerial:
     def test_lifecycle_differential_sharded_matches_serial(self):
         kwargs = dict(seed=0xC0FFEE, stride=37, secure_pages=16)
         engines = ("fast", "turbo")
-        *serial_reports, serial_mismatches = run_differential(engines=engines, **kwargs)
-        campaigns = [LifecycleCampaign(engine=e, **kwargs) for e in engines]
+        *serial_reports, serial_mismatches = differential(
+            [LifecycleCampaign(engine=e, **kwargs) for e in engines], compare_reports
+        )
         *sharded_reports, sharded_mismatches = differential(
-            campaigns, compare_reports, jobs=2
+            [LifecycleCampaign(engine=e, **kwargs) for e in engines],
+            compare_reports,
+            jobs=2,
         )
         assert sharded_mismatches == serial_mismatches == []
         for sharded, serial in zip(sharded_reports, serial_reports):

@@ -7,8 +7,8 @@ a refactor is behaviour-preserving only if none of them moves.
 """
 
 from repro.faults.bitflip import BitflipCampaign
-from repro.faults.campaign import LifecycleCampaign, run_differential
-from repro.faults.parallel import report_digest
+from repro.faults.campaign import LifecycleCampaign, compare_reports
+from repro.faults.parallel import differential, report_digest
 from repro.pipeline.campaign import run_campaign
 
 LIFECYCLE = "0d280fd0a789acc820614eb00677aa1c3535e1ac8e2b2bc2e8a6e8cdf7fe3e78"
@@ -30,7 +30,10 @@ def test_lifecycle_report_digest_is_pinned():
 
 def test_lifecycle_differential_digests_are_pinned():
     engines = tuple(DIFFERENTIAL)
-    *reports, mismatches = run_differential(seed=0x5EED, stride=13, engines=engines)
+    *reports, mismatches = differential(
+        [LifecycleCampaign(engine=e, seed=0x5EED, stride=13) for e in engines],
+        compare_reports,
+    )
     assert mismatches == []
     assert {
         engine: report_digest(report) for engine, report in zip(engines, reports)

@@ -14,7 +14,7 @@ from repro.tools import pathexp
     ids=["unknown-smc", "partial-baseline-update"],
 )
 def test_bad_input_is_a_usage_error(argv, capsys, monkeypatch):
-    def no_save(census, path=None):
+    def no_save(census):
         raise AssertionError("a usage error must not rewrite the baseline")
 
     monkeypatch.setattr(pathexp, "save_baseline", no_save)
