@@ -112,7 +112,13 @@ from repro.arm.instructions import (
     Instruction,
     decode,
 )
-from repro.arm.memory import PAGE_SIZE, MemoryFault, PhysicalMemory, WORDSIZE
+from repro.arm.memory import (
+    PAGE_SIZE,
+    MemoryFault,
+    PhysicalMemory,
+    StampMemo,
+    WORDSIZE,
+)
 from repro.arm.modes import Mode, bank_for
 
 _M = 0xFFFFFFFF
@@ -131,6 +137,10 @@ BLOCK_CACHE_CAP = 2048
 #: Bound on basic blocks merged into one compiled region (a page can
 #: hold more only with heavily overlapping decode starts).
 REGION_BLOCK_CAP = 48
+
+#: Bound on the region-discovery memo: one entry per (entry address,
+#: page stamp) pair, shared by every machine in the process.
+REGION_MEMO_SIZE = 1024
 
 #: Bound on outgoing chain links per region (megamorphic exits — e.g.
 #: a ``bxlr`` returning to many call sites — stop chaining past this).
@@ -280,6 +290,28 @@ def discover_region(
     else:
         words = memory.read_words(paddr + lo * WORDSIZE, hi - lo)
     return region, words, lo
+
+
+_REGIONS = StampMemo(REGION_MEMO_SIZE)
+
+
+def _region(
+    memory: PhysicalMemory, paddr: int
+) -> Tuple[List[Tuple[int, List[Instruction]]], List[int], int]:
+    """``discover_region``, memoised on ``(paddr, page_stamp)``.
+
+    A region lies inside its entry page, so on plain ``PhysicalMemory``
+    it is a pure function of bytes a clean page's stamp names.  Other
+    memories, dirty pages and addresses ``page_stamp`` faults on take a
+    fresh discovery.  Callers never mutate the returned lists: a memo
+    hit hands the same lists to every machine that runs the page.
+    """
+    if type(memory) is PhysicalMemory:
+        try:
+            return _REGIONS.lookup(memory, paddr, discover_region, memory, paddr)
+        except MemoryFault:
+            pass
+    return discover_region(memory, paddr)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +857,7 @@ def _compile_traced(cpu, paddr: int) -> Callable:
     The entry was (re)validated against the current generation, so
     re-discovery sees exactly the words it was compiled from.
     """
-    region, words, woff = discover_region(cpu.state.memory, paddr)
+    region, words, woff = _region(cpu.state.memory, paddr)
     return _compiled(cpu, region, paddr, words, woff, True)
 
 
@@ -867,7 +899,7 @@ def lookup(cpu, paddr: int, traced: bool = False) -> Optional[list]:
             if traced and entry[_FNT] is None:
                 entry[_FNT] = _compile_traced(cpu, paddr)
             return entry
-    region, words, woff = discover_region(memory, paddr)
+    region, words, woff = _region(memory, paddr)
     if not region:
         return None
     fn = _compiled(cpu, region, paddr, words, woff, False)

@@ -76,6 +76,28 @@ def _shard_main(fn, index: int, count: int, conn) -> None:
             os._exit(0)
 
 
+def _receive(conn) -> Tuple[str, object]:
+    """A shard's ``("ok", result)`` or ``("err", reason)``.
+
+    Anything else on the pipe (no message, bytes that do not unpickle,
+    a message that is not a 2-tuple, an unknown status) becomes an
+    ``"err"`` naming what arrived, so it reaches the caller as a
+    :class:`ShardError` for that shard.
+    """
+    try:
+        message = conn.recv()
+    except EOFError:
+        return "err", "worker died without reporting a result"
+    except Exception as exc:  # noqa: BLE001 - unpickling can raise anything
+        return "err", f"unreadable result: {type(exc).__name__}: {exc}"
+    if not (isinstance(message, tuple) and len(message) == 2):
+        return "err", f"malformed result: {type(message).__name__}"
+    status = message[0]
+    if not isinstance(status, str) or status not in ("ok", "err"):
+        return "err", f"unknown status: {type(status).__name__} {status!r}"
+    return message
+
+
 def run_shards(fn: Callable[[int, int], object], jobs: int) -> List[object]:
     """Run ``fn(index, jobs)`` for each shard index; return results in order.
 
@@ -105,10 +127,7 @@ def run_shards(fn: Callable[[int, int], object], jobs: int) -> List[object]:
     results: List[object] = []
     failures: List[str] = []
     for index, (process, recv) in enumerate(workers):
-        try:
-            status, payload = recv.recv()
-        except EOFError:
-            status, payload = "err", "worker died without reporting a result"
+        status, payload = _receive(recv)
         recv.close()
         process.join()
         if status == "ok":

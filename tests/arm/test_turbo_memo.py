@@ -238,3 +238,100 @@ class TestMemoBound:
         assert outcomes == reference
         assert [o[1]["gprs"][0] for o in outcomes] == list(range(10))
         assert max(sizes) == 4
+
+
+@pytest.fixture
+def discoveries(monkeypatch):
+    """Count fresh ``discover_region`` runs (memo misses and bypasses)."""
+    calls = []
+    original = blocks.discover_region
+
+    def counting(memory, paddr):
+        calls.append(paddr)
+        return original(memory, paddr)
+
+    monkeypatch.setattr(blocks, "discover_region", counting)
+    return calls
+
+
+class TestRegionMemo:
+    """``discover_region`` memoised on ``(paddr, page_stamp)``
+    (``blocks._REGIONS``): a restore empties the block cache, but a
+    clean code page's regions are not rediscovered."""
+
+    def test_hit_equals_fresh_discovery(self, discoveries):
+        reference = restore_runs("reference", _store_loop(5), 3, False)[1]
+        discoveries.clear()
+        marks = []
+        state, outcomes = restore_runs(
+            "turbo", _store_loop(5), 3, False, lambda s, i: marks.append(len(discoveries))
+        )
+        marks.append(len(discoveries))
+        assert outcomes == reference
+        assert marks[1] - marks[0] > 0  # the first run discovers
+        assert marks[3] - marks[1] == 0  # later runs are all memo hits
+        memory = state.memory
+        hits = 0
+        for (paddr, stamp), value in blocks._REGIONS._entries.items():
+            if memory.page_stamp(paddr) == stamp and paddr in state.uarch.bcache:
+                assert value == blocks.discover_region(memory, paddr)
+                hits += 1
+        assert hits == len(state.uarch.bcache) > 0
+
+    def test_rewritten_code_page_is_rediscovered(self, discoveries):
+        """A store into the code page makes it dirty: its regions are
+        discovered afresh, and turbo recompiles and matches reference."""
+        code_page = make_state([]).memmap.page_base(2)
+        marks = []
+
+        def rewrite(state, i):
+            marks.append(len(discoveries))
+            if i == 1:
+                state.memory.write_words(code_page, _store_loop(9))
+
+        reference = restore_runs("reference", _store_loop(5), 3, True, rewrite)[1]
+        marks.clear()
+        discoveries.clear()
+        outcomes = restore_runs("turbo", _store_loop(5), 3, True, rewrite)[1]
+        marks.append(len(discoveries))
+        per_run = [b - a for a, b in zip(marks, marks[1:])]
+        assert per_run[1] > 0  # the dirty page: fresh discovery
+        assert per_run[2] == 0  # the restored page: memo hits again
+        assert [o[1]["gprs"][0] for o in outcomes] == [5, 9, 5]
+        assert outcomes == reference
+
+    def test_encrypted_memory_bypasses_the_memo(self, discoveries):
+        words = _store_loop(3)
+        reference = run(make_encrypted_state(words), "reference", True)
+        enc = make_encrypted_state(words)
+        snap = enc.snapshot()
+        before = dict(blocks._REGIONS._entries)
+        for _ in range(3):
+            enc.restore(snap)
+            discoveries.clear()
+            assert run(enc, "turbo", True) == reference
+            assert len(discoveries) >= len(enc.uarch.bcache) > 0
+        assert blocks._REGIONS._entries == before
+
+    def test_memo_stays_at_its_cap(self, monkeypatch):
+        """Each round stages and stamps new code at the same address,
+        so every round adds a key; the oldest are dropped at the cap."""
+        monkeypatch.setattr(blocks._REGIONS, "cap", 2)
+        monkeypatch.setattr(blocks._REGIONS, "_entries", {})
+        code_page = make_state([]).memmap.page_base(2)
+
+        def rounds(engine):
+            state = make_state([], data_words=[7] * 32)
+            outcomes, sizes = [], []
+            for i in range(6):
+                state.memory.write_words(code_page, _store_loop(i))
+                snap = state.snapshot()
+                outcomes.append(run(state, engine, False))
+                sizes.append(len(blocks._REGIONS))
+                state.restore(snap)
+            return outcomes, sizes
+
+        outcomes, sizes = rounds("turbo")
+        assert outcomes == rounds("reference")[0]
+        assert [o[1]["gprs"][0] for o in outcomes] == list(range(6))
+        assert max(sizes) == 2

@@ -10,12 +10,17 @@ clean-run audits).
 """
 
 import dataclasses
+import operator
 import os
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.bitflip import BitflipCampaign
 from repro.faults.campaign import LifecycleCampaign, compare_reports
+from repro.faults import parallel
 from repro.faults.parallel import (
     MergeError,
     ShardError,
@@ -27,6 +32,63 @@ from repro.faults.parallel import (
     differential,
 )
 from repro.pipeline.campaign import PipelineCampaign, run_campaign
+
+
+class _Unpickles:
+    """Pickles as ``func(*args)``, which raises when unpickled."""
+
+    def __init__(self, func, args):
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return self.func, self.args
+
+
+_VALUES = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8) | st.binary(max_size=8)
+)
+
+#: Pipe payloads no shard's ``_shard_main`` sends: garbage and truncated
+#: pickles, unpickling that raises ``ValueError``/``TypeError``, objects
+#: that are not 2-tuples, and 2-tuples with an unknown status.
+_MALFORMED = st.one_of(
+    st.binary(max_size=32),
+    st.builds(
+        lambda value, cut: pickle.dumps(("ok", value))[:cut],
+        _VALUES,
+        st.integers(0, 8),
+    ),
+    st.sampled_from(
+        [
+            pickle.dumps(("ok", _Unpickles(int, ("not a number",)))),
+            pickle.dumps(_Unpickles(operator.add, (1, "x"))),
+        ]
+    ),
+    _VALUES.map(pickle.dumps),
+    st.lists(_VALUES, max_size=4)
+    .filter(lambda items: len(items) != 2)
+    .map(lambda items: pickle.dumps(tuple(items))),
+    st.tuples(_VALUES.filter(lambda status: status not in ("ok", "err")), _VALUES).map(
+        pickle.dumps
+    ),
+)
+
+
+def _sends_raw(message: bytes):
+    """A ``_shard_main`` whose shard 1 writes ``message`` to the pipe as
+    is (shard 0 reports normally)."""
+
+    def shard_main(fn, index, count, conn):
+        try:
+            if index == 1:
+                conn.send_bytes(message)
+            else:
+                conn.send(("ok", fn(index, count)))
+        finally:
+            conn.close()
+            os._exit(0)
+
+    return shard_main
 
 
 class TestRunShards:
@@ -63,6 +125,14 @@ class TestRunShards:
 
         with pytest.raises(ShardError, match="shard 1/2.*died without reporting"):
             run_shards(fn, 2)
+
+    @given(message=_MALFORMED)
+    @settings(max_examples=40, deadline=None)
+    def test_malformed_message_raises_shard_error(self, message):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "_shard_main", _sends_raw(message))
+            with pytest.raises(ShardError, match="shard 1/2"):
+                run_shards(lambda index, count: index, 2)
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """The integrity engine and the campaign audit re-derive only what changed.
 
-Page CRCs, extraction's table decodings and the machine audit's table
-scans are memoised on ``(page base, PhysicalMemory.page_stamp)``, and
+Page CRCs, extraction's table decodings, the machine audit's table
+scans and turbo's region discovery are memoised on ``(page base, PhysicalMemory.page_stamp)``, and
 ``check_pagedb``'s all-agree verdict on the PageDB bytes.  These tests
 hold the memos to what a full recomputation decides:
 
@@ -10,16 +10,22 @@ hold the memos to what a full recomputation decides:
 * with ``page_stamp`` patched to ``None`` (every page dirty, so nothing
   is memoised) whole campaigns give the same report digests and the
   same per-SMC ``PrecheckReport``s;
-* every memo stays at or under its cap, and tiny caps change nothing.
+* every memo stays at or under its cap, and tiny caps change nothing;
+* served requests answer the same with stamps off.
 """
 
 import dataclasses
+import random
 
 import pytest
 
+from repro.arm import blocks
 from repro.arm.assembler import Assembler
 from repro.arm.bits import WORDSIZE
 from repro.arm.memory import PhysicalMemory
+from repro.cloud.api import CloudRequest, results_digest
+from repro.cloud.chaos import base_payload
+from repro.cloud.worker import get_template
 from repro.faults import audit
 from repro.faults.bitflip import BitflipCampaign
 from repro.faults.campaign import LifecycleCampaign
@@ -37,6 +43,8 @@ from repro.osmodel.kernel import OSKernel
 from repro.sdk.builder import CODE_VA, EnclaveBuilder
 from repro.verification import extract
 
+from tests.cloud.conftest import SPEC
+
 ENGINES = ["reference", "fast", "turbo"]
 
 
@@ -48,6 +56,7 @@ def memos():
         "extract L2": extract._L2_MEMO,
         "audit L1 scans": audit._L1_SCANS,
         "audit L2 scans": audit._L2_SCANS,
+        "turbo regions": blocks._REGIONS,
     }
 
 
@@ -164,3 +173,23 @@ def test_memos_decide_what_full_recomputation_decides(name, monkeypatch):
         assert len(integrity._AGREEING) <= 1
         for memo_name, memo in memos().items():
             assert len(memo) <= 2, memo_name
+
+
+def test_served_requests_answer_the_same_with_stamps_off(monkeypatch):
+    """A seeded serve-light mix (attest, sign, checksum, spin) through
+    the turbo template: the memoised regions and CRCs give
+    the digest that every-page-dirty recomputation gives."""
+    rng = random.Random(0x5EED)
+    kinds = ["attest", "sign", "checksum", "spin"] * 5
+    rng.shuffle(kinds)
+    mix = [
+        CloudRequest(kind=kind, payload=base_payload(kind, rng.getrandbits(32)), nonce=i)
+        for i, kind in enumerate(kinds)
+    ]
+    template = get_template(SPEC)
+    stamped = results_digest(template.execute(r) for r in mix)
+    with monkeypatch.context() as patch:
+        patch.setattr(PhysicalMemory, "page_stamp", lambda self, address: None)
+        unstamped = results_digest(template.execute(r) for r in mix)
+    assert stamped == unstamped
+    assert stamped == results_digest(template.expected(r) for r in mix)

@@ -297,3 +297,32 @@ class TestRelationPreconditions:
         harness.perturb(1, diverge)
         with pytest.raises(NoninterferenceViolation):
             harness.require_related(enc=setup.attacker.as_page, adversary_view=True)
+
+    def test_empty_trace_on_unrelated_worlds_raises(self):
+        harness = BisimulationHarness(secure_pages=32)
+        setup = _Setup(quiet_victim_asm())
+        harness.setup_both(setup)
+        harness.perturb(1, lambda monitor: monitor.smc(SMC.INIT_ADDRSPACE, 25, 26))
+        with pytest.raises(NoninterferenceViolation):
+            harness.run_trace([], enc=setup.attacker.as_page, adversary_view=True)
+
+
+class TestRelationCheckCount:
+    """``run_trace`` checks the relation once per step; an empty trace
+    checks the starting pair once."""
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_one_check_per_step(self, length, monkeypatch):
+        harness = BisimulationHarness(secure_pages=32)
+        setup = _Setup(quiet_victim_asm())
+        harness.setup_both(setup)
+        calls = []
+        check = harness.require_related
+        monkeypatch.setattr(
+            harness,
+            "require_related",
+            lambda enc, adversary_view: calls.append(enc) or check(enc, adversary_view),
+        )
+        trace = [OSAction(SMC.GET_PHYSPAGES)] * length
+        harness.run_trace(trace, enc=setup.attacker.as_page, adversary_view=True)
+        assert len(calls) == max(length, 1)
