@@ -32,10 +32,13 @@ the token of the ``checkpoint`` that last captured the page dirty, or
 0 for a never-written zero page.  The contract: if a page has the same
 non-``None`` stamp at two moments, on this memory or any other in the
 process, its bytes are identical at both.  ``checkpoint`` stamps the
-dirty pages before it clears the set, ``rewind`` leaves the stamps
-equal to the checkpoint's and ``__deepcopy__`` copies them with the
-bytes, so the store path is untouched: ``_dirty`` stays the one record
-of writes (including the turbo engine's inline stores and ``flip_bit``).
+dirty pages before it clears the set, ``settle`` does the same for a
+memory no checkpoint has anchored yet (no ``rewind`` reads its dirty
+set, so a cold boot's pages need not stay unstamped until the first
+snapshot), ``rewind`` leaves the stamps equal to the checkpoint's and
+``__deepcopy__`` copies them with the bytes, so the store path is
+untouched: ``_dirty`` stays the one record of writes (including the
+turbo engine's inline stores and ``flip_bit``).
 ``StampMemo`` memoises a per-page derivation on ``(base, stamp)``; the
 integrity engine's page CRCs and the campaign audit's table scans use
 it (see DESIGN.md, "Memory integrity & graceful degradation").
@@ -363,22 +366,38 @@ class PhysicalMemory:
         page = offset >> 12
         return None if page in self._dirty else self._stamps[page]
 
+    def settle(self) -> None:
+        """Stamp the dirty pages of a never-anchored memory afresh.
+
+        With no anchor no ``rewind`` reads the dirty set, so the pages
+        written so far may take one fresh token, exactly as a
+        ``checkpoint`` would stamp them, and leave the set (cleared in
+        place: turbo bakes its identity).  Once anchored, the dirty set
+        is what a delta ``rewind`` copies back, so this does nothing.
+        """
+        if not self._snap_token and self._dirty:
+            self._stamp_dirty(next(_SNAP_TOKENS))
+
+    def _stamp_dirty(self, token: int) -> None:
+        """Stamp every dirty page with ``token``, then clear the set."""
+        stamps = self._stamps
+        for page in self._dirty:
+            stamps[page] = token
+        self._dirty.clear()
+
     def checkpoint(self) -> "MemoryCheckpoint":
         """Capture contents and re-anchor the dirty set: it
         now records exactly the pages that diverge from this checkpoint.
         Every dirty page is stamped with the checkpoint's token first."""
         token = next(_SNAP_TOKENS)
         self._snap_token = token
-        stamps = self._stamps
-        for page in self._dirty:
-            stamps[page] = token
-        self._dirty.clear()
+        self._stamp_dirty(token)
         # bytes(), not a slice: slicing the memoryview-backed store
         # would alias the live buffer instead of copying it.
         return MemoryCheckpoint(
             token,
             bytes(self._buf),
-            tuple(stamps),
+            tuple(self._stamps),
             self.generation,
         )
 

@@ -1,28 +1,38 @@
-"""SHA-256: the from-scratch incremental hash and the one-shot helpers.
+"""SHA-256: the incremental hash and the one-shot helpers.
 
 Komodo does not implement SHA-256 itself; it calls Vale's verified ARM
-SHA-256 (paper section 7.2), and the simulated cost of every hash is
-``CostModel.sha256_block`` per compressed block, charged through an
-``on_block`` hook.  Simulated cycles therefore depend on block counts
-alone, never on which implementation computed the digest.
+SHA-256, derived from OpenSSL's assembly (paper section 7.2), and the
+simulated cost of every hash is ``CostModel.sha256_block`` per
+compressed block, charged through an ``on_block`` hook.  Simulated
+cycles therefore depend on block counts alone, never on which
+implementation computed the digest.
 
 Two implementations follow from that:
 
-* :class:`SHA256` is pure Python (FIPS 180-4) and is used only where the
-  8 chaining words are machine-visible: the enclave measurement, whose
-  midstate and running length live in the addrspace page between calls
+* :class:`SHA256` is used only where the 8 chaining words are
+  machine-visible: the enclave measurement, whose midstate and running
+  length live in the addrspace page between calls
   (``repro.monitor.measurement``), and the refinement checker's replay
   of the abstract measured sequence (``repro.verification.refinement``).
   As in the paper, the monitor only ever hashes block-aligned data, so
   it exposes a block-at-a-time ``update_block_words`` beside the
-  byte-stream ``update``.
+  byte-stream ``update``.  Each compression runs on OpenSSL's own block
+  function, libcrypto's ``SHA256_Transform``, called through ``ctypes``
+  on the library ``hashlib`` already loaded.  Every call fills a
+  ``SHA256_CTX`` of its own, so threads never share one (the foreign
+  call releases the GIL).  The pure-Python FIPS 180-4 :func:`_compress`
+  is the tests' reference for it, and it is the compression wherever
+  the symbol cannot be resolved (an OpenSSL built static or without
+  deprecated APIs); the choice is made once, at import.
 * :func:`sha256` and :func:`sha256_words` are one-shot hashes that
   persist no midstate; they run on ``hashlib``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import struct
 from typing import Callable, List, Optional, Sequence
 
 from repro.arm.bits import to_word
@@ -102,6 +112,51 @@ def _compress(state: Sequence[int], block: Sequence[int]) -> List[int]:
     ]
 
 
+class _Ctx(ctypes.Structure):
+    """``SHA256_CTX`` as <openssl/sha.h> lays it out (``SHA_LONG`` is 32
+    bits); the block function reads and writes only ``h``."""
+
+    _fields_ = [
+        ("h", ctypes.c_uint32 * 8),
+        ("Nl", ctypes.c_uint32),
+        ("Nh", ctypes.c_uint32),
+        ("data", ctypes.c_uint32 * 16),
+        ("num", ctypes.c_uint32),
+        ("md_len", ctypes.c_uint32),
+    ]
+
+
+def _load_transform() -> Optional[Callable]:
+    """libcrypto's ``SHA256_Transform`` from the extension ``hashlib``
+    loaded, or ``None`` where it cannot be resolved."""
+    try:
+        import _hashlib
+
+        transform = ctypes.CDLL(_hashlib.__file__).SHA256_Transform
+    except (ImportError, OSError, AttributeError):
+        return None
+    transform.argtypes = (ctypes.POINTER(_Ctx), ctypes.c_char_p)
+    transform.restype = None
+    return transform
+
+
+_TRANSFORM = _load_transform()
+_BLOCK = struct.Struct(">16I")
+
+
+def _native_compress(state: Sequence[int], block: Sequence[int]) -> List[int]:
+    """:func:`_compress` on ``SHA256_Transform``; the block goes in as
+    big-endian bytes, and each call owns its context."""
+    ctx = _Ctx()
+    ctx.h[:] = state
+    _TRANSFORM(ctx, _BLOCK.pack(*block))
+    return ctx.h[:]
+
+
+#: The compression every ``SHA256`` runs, chosen once.
+_COMPRESS = _compress if _TRANSFORM is None else _native_compress
+
+
 class SHA256:
     """Incremental SHA-256.
 
@@ -155,7 +210,7 @@ class SHA256:
             raise RuntimeError("block interface mixed with unaligned bytes")
         if len(words) != 16:
             raise ValueError("a block is exactly 16 words")
-        self._state = _compress(self._state, [w & _MASK for w in words])
+        self._state = _COMPRESS(self._state, [w & _MASK for w in words])
         self._length += BLOCK_SIZE
         if self._on_block:
             self._on_block()
@@ -168,10 +223,9 @@ class SHA256:
         self._buffer += data
         self._length += len(data)
         while len(self._buffer) >= BLOCK_SIZE:
-            block = self._buffer[:BLOCK_SIZE]
+            words = _BLOCK.unpack_from(self._buffer)
             del self._buffer[:BLOCK_SIZE]
-            words = [int.from_bytes(block[i : i + 4], "big") for i in range(0, 64, 4)]
-            self._state = _compress(self._state, words)
+            self._state = _COMPRESS(self._state, words)
             if self._on_block:
                 self._on_block()
 

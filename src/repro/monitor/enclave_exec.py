@@ -428,6 +428,7 @@ def dispatch_svc(
     addrspace may just have been stopped, in which case it will never
     run to observe it).
     """
+    mon.state.memory.settle()  # as in ``KomodoMonitor._dispatch``
     report = integrity.precheck(mon)
     if report.quarantined:
         return (KomErr.PAGE_QUARANTINED, [])

@@ -220,6 +220,7 @@ class KomodoMonitor:
             enter_thread = (
                 args[0] if callno in (SMC.ENTER, SMC.RESUME) else None
             )
+            state.memory.settle()  # a cold boot's pages get stamps to memoise on
             report = integrity.precheck(self, enter_thread=enter_thread)
             if report.quarantined:
                 return (KomErr.PAGE_QUARANTINED, report.quarantined[0])

@@ -23,8 +23,10 @@ changes only how the new chaining words are computed: each call still
 reads the chaining state and length, charges ``sha256_block`` per block
 and writes the state and length back in the same order, so simulated
 cycles and fault points are those of the uncached hash.  Finalise runs
-the pure ``SHA256`` directly, and the refinement checker's replay never
-reads the memo, so it stays an independent oracle.
+``SHA256`` directly, and the refinement checker's replay never reads
+the memo, so it stays an independent oracle.  A memo miss costs one
+compression per block on libcrypto's block function (see
+``repro.crypto.sha256``).
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ def _pack(words: Sequence[int]) -> bytes:
 def _absorb(chaining: bytes, blocks: bytes) -> Tuple[int, ...]:
     """Chaining words after absorbing ``blocks`` (memoised, bounded).
 
-    Both arguments are packed 32-bit words; a miss runs the pure
-    ``SHA256`` from the given chaining state.
+    Both arguments are packed 32-bit words; a miss runs ``SHA256``
+    from the given chaining state.
     """
     hasher = SHA256.from_state(array(_TYPECODE, chaining), 0)
     words = array(_TYPECODE, blocks)

@@ -2,12 +2,13 @@
 
 ``PhysicalMemory.page_stamp`` is ``None`` while a page is dirty and
 otherwise names the page's exact bytes, on every memory in the process:
-checkpoints stamp what they capture dirty, rewinds restore stamps with
-bytes, and deep copies copy both.  The integrity engine's CRC memo and
-the campaign audit's table memos rely on this, so a hypothesis state
-machine drives every kind of write, checkpoint, own and foreign rewind,
-deep copy and bit flip, on both memory engines and both rewind paths,
-and checks the contract after every step.
+checkpoints stamp what they capture dirty, a never-anchored memory's
+``settle`` stamps its written pages the same way, rewinds restore stamps
+with bytes, and deep copies copy both.  The integrity engine's CRC memo
+and the campaign audit's table memos rely on this, so a hypothesis state
+machine drives every kind of write, checkpoint, settle, own and foreign
+rewind, deep copy and bit flip, on both memory engines and both rewind
+paths, and checks the contract after every step.
 """
 
 import contextlib
@@ -37,6 +38,8 @@ from repro.arm.memory import (
     PhysicalMemory,
     StampMemo,
 )
+from repro.arm.modes import Mode
+from repro.arm.registers import PSR
 from repro.monitor.layout import SVC
 
 #: Six pages: monitor image, monitor stack, two secure, two insecure.
@@ -116,6 +119,10 @@ def stamp_machine(memory_cls):
         def checkpoint(self, m):
             self.checkpoints.append(self._memory(m).checkpoint())
 
+        @rule(m=st.integers(0, 7))
+        def settle(self, m):
+            self._memory(m).settle()
+
         @precondition(lambda self: self.checkpoints)
         @rule(m=st.integers(0, 7), c=st.integers(0, 63))
         def rewind(self, m, c):
@@ -181,6 +188,81 @@ class TestStampLifecycle:
         memory.rewind(first)
         assert memory.page_stamp(_BASES[2]) == stamp
 
+    def test_settle_is_a_noop_while_anchored(self, memory_cls):
+        memory = memory_cls(_MAP)
+        memory.write_word(_BASES[2], 1)
+        cp = memory.checkpoint()
+        memory.write_word(_BASES[3], 2)
+        memory.settle()
+        assert memory._dirty == {3}
+        assert [memory.page_stamp(base) for base in _BASES] == [
+            None if page == 3 else stamp for page, stamp in enumerate(cp.stamps)
+        ]
+        memory.rewind(cp)  # the delta path still restores the page
+        assert memory.read_word(_BASES[3]) == 0
+
+    def test_settle_stamps_written_pages_afresh(self, memory_cls):
+        other = memory_cls(_MAP)
+        other.write_word(_BASES[1], 1)
+        before = other.checkpoint().token
+        memory = memory_cls(_MAP)
+        memory.write_word(_BASES[2], 1)
+        memory.write_word(_BASES[4], 2)
+        dirty = memory._dirty
+        memory.settle()
+        assert memory._dirty is dirty and not dirty
+        stamp = memory.page_stamp(_BASES[2])
+        assert memory.page_stamp(_BASES[4]) == stamp
+        assert stamp not in (None, 0, before)
+        assert memory.page_stamp(_BASES[3]) == 0  # never written
+        other.write_word(_BASES[1], 2)
+        assert other.checkpoint().token != stamp  # process-unique
+        memory.write_word(_BASES[2], 3)
+        assert memory.page_stamp(_BASES[2]) is None
+        assert memory.page_stamp(_BASES[4]) == stamp
+        memory.settle()
+        assert memory.page_stamp(_BASES[2]) not in (None, stamp)
+        assert memory.page_stamp(_BASES[4]) == stamp
+
+    @pytest.mark.parametrize("source", ["foreign", "copy"])
+    def test_rewind_after_settle_is_full(self, memory_cls, source):
+        """An unanchored memory has nothing to copy back page by page:
+        after ``settle`` empties its dirty set, a rewind must still copy
+        every byte and stamp of the checkpoint."""
+        memory = memory_cls(_MAP)
+        memory.write_word(_BASES[2], 0xA)
+        if source == "foreign":
+            donor = memory_cls(_MAP)
+            donor.write_word(_BASES[4], 0xB)
+        else:
+            donor = copy.deepcopy(memory)
+        cp = donor.checkpoint()
+        memory.write_word(_BASES[3], 0xC)
+        memory.write_word(_BASES[5], 0xD)
+        memory.settle()
+        memory.rewind(cp)
+        assert bytes(memory._buf) == cp.store
+        assert [memory.page_stamp(base) for base in _BASES] == list(cp.stamps)
+        assert [raw_page(memory, base) for base in _BASES] == [
+            raw_page(donor, base) for base in _BASES
+        ]
+
+    def test_deepcopy_after_settle_keeps_the_contract(self, memory_cls):
+        memory = memory_cls(_MAP)
+        memory.write_word(_BASES[2], 7)
+        memory.settle()
+        dup = copy.deepcopy(memory)
+        stamps = [memory.page_stamp(base) for base in _BASES]
+        assert [dup.page_stamp(base) for base in _BASES] == stamps
+        assert [raw_page(dup, base) for base in _BASES] == [
+            raw_page(memory, base) for base in _BASES
+        ]
+        dup.write_word(_BASES[2], 8)
+        dup.settle()
+        assert dup.page_stamp(_BASES[2]) not in (None, stamps[2])
+        assert memory.page_stamp(_BASES[2]) == stamps[2]
+        assert memory.read_word(_BASES[2]) == 7
+
     def test_out_of_range_address_faults(self, memory_cls):
         memory = memory_cls(_MAP)
         with pytest.raises(memory_mod.MemoryFault):
@@ -218,6 +300,24 @@ def test_turbo_inline_store_clears_the_stamp():
     assert state.memory.page_stamp(data_base) is None
     state.snapshot()
     assert state.memory.page_stamp(data_base) not in (None, before)
+
+
+def test_turbo_inline_store_after_settle_lands_in_the_dirty_set():
+    """Compiled code bakes the dirty set's identity: a store it makes
+    after ``settle`` must still land in ``memory._dirty``."""
+    state = stage(store_loop(), 64)
+    data_base = state.memmap.page_base(3)
+    cpu = CPU(state, engine="turbo")
+    assert cpu.run(CODE_VA, max_steps=100_000).reason is ExitReason.SVC
+    assert state.uarch.bcache, "the store loop did not run compiled"
+    dirty = state.memory._dirty
+    state.memory.settle()
+    assert state.memory.page_stamp(data_base) is not None
+    state.regs.cpsr = PSR(mode=Mode.USR, irq_masked=False, fiq_masked=False)
+    state.regs.write_gpr(0, 64)
+    assert cpu.run(CODE_VA, max_steps=100_000).reason is ExitReason.SVC
+    assert state.memory._dirty is dirty
+    assert state.memory.page_stamp(data_base) is None
 
 
 class TestStampMemo:

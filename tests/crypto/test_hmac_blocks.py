@@ -3,7 +3,7 @@
 ``hmac_sha256`` computes its MAC with the standard library but calls
 ``on_block`` once per SHA-256 compression the from-scratch hash would
 run, which is what the monitor's cycle accounting charges.  The oracle
-here is RFC 2104 built on the pure :class:`SHA256`.
+here is RFC 2104 built on the incremental :class:`SHA256`.
 """
 
 from hypothesis import example, given, settings
@@ -17,7 +17,7 @@ from repro.monitor.attestation import Attestation
 
 
 def pure_hmac(key: bytes, message: bytes):
-    """``(mac, compressions)`` of RFC 2104 HMAC on the pure SHA256."""
+    """``(mac, compressions)`` of RFC 2104 HMAC on the incremental SHA256."""
     blocks = []
 
     def count():

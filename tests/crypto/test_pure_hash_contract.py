@@ -1,9 +1,13 @@
-"""The pure-Python ``SHA256`` is used only where its midstate is
+"""The incremental ``SHA256`` is used only where its midstate is
 machine-visible.
 
-Every other hash persists no chaining state and runs on ``hashlib``;
-simulated cycles come from block counts either way.  This scan keeps
-one-shot hashing from drifting back onto the slow pure path.
+``SHA256`` keeps its 8 chaining words in Python and compresses one
+block per call: on libcrypto's ``SHA256_Transform`` through ``ctypes``,
+or on the pure-Python reference compress where that symbol cannot be
+resolved.  Every other hash persists no chaining state and runs on
+``hashlib``, one C call per message; simulated cycles come from block
+counts either way.  This scan keeps one-shot hashing from drifting back
+onto the per-block path.
 """
 
 import ast

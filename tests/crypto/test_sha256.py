@@ -1,6 +1,12 @@
-"""SHA-256: standard vectors, hashlib cross-check, incremental state."""
+"""SHA-256: standard vectors, hashlib cross-check, incremental state,
+and libcrypto's block function against the pure reference compress."""
 
+import ctypes
 import hashlib
+import importlib
+import importlib.util
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,10 @@ from hypothesis import strategies as st
 
 from repro.arm.bits import bytes_to_words
 from repro.crypto.sha256 import BLOCK_SIZE, DIGEST_SIZE, SHA256, sha256, sha256_words
+
+#: The module itself: ``repro.crypto`` re-exports a ``sha256`` function
+#: that shadows the submodule attribute.
+sha256_mod = importlib.import_module("repro.crypto.sha256")
 
 # FIPS 180-4 / NIST test vectors.
 VECTORS = [
@@ -129,3 +139,99 @@ class TestCostHook:
         assert sha256_words([0x61626380]) == bytes_to_words(
             hashlib.sha256(b"\x61\x62\x63\x80").digest()
         )
+
+
+_words = st.integers(0, 0xFFFFFFFF)
+native = pytest.mark.skipif(
+    sha256_mod._TRANSFORM is None, reason="SHA256_Transform is not resolvable here"
+)
+
+
+@native
+class TestNativeCompress:
+    def test_is_the_compression_in_use(self):
+        assert sha256_mod._COMPRESS is sha256_mod._native_compress
+
+    @given(
+        st.lists(_words, min_size=8, max_size=8),
+        st.lists(_words, min_size=16, max_size=16),
+    )
+    @settings(max_examples=300)
+    def test_matches_reference_compress(self, state, block):
+        assert sha256_mod._native_compress(state, block) == sha256_mod._compress(
+            state, block
+        )
+
+    @pytest.mark.parametrize("message,expected", VECTORS[:3])
+    @pytest.mark.parametrize("compress", ["_native_compress", "_compress"])
+    def test_fips_vectors_on_either_compress(self, message, expected, compress, monkeypatch):
+        monkeypatch.setattr(sha256_mod, "_COMPRESS", getattr(sha256_mod, compress))
+        hasher = SHA256()
+        hasher.update(message)
+        assert hasher.hexdigest() == expected
+
+    def test_threads_hashing_at_once_match_hashlib(self):
+        """The foreign call releases the GIL: no context may be shared."""
+        messages = [bytes([i]) * (64 * 400 + 13 * i) for i in range(4)]
+        start = threading.Barrier(len(messages))
+        digests = [None] * len(messages)
+
+        def work(i):
+            hasher = SHA256()
+            start.wait()
+            for offset in range(0, len(messages[i]), 64):
+                hasher.update(messages[i][offset : offset + 64])
+            digests[i] = hasher.digest()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == [hashlib.sha256(m).digest() for m in messages]
+
+
+class _NoSymbols:
+    """A loaded library exporting nothing (a static or ``no-deprecated``
+    OpenSSL)."""
+
+    def __init__(self, name):
+        pass
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+def _unloadable(name):
+    raise OSError(f"cannot load {name}")
+
+
+@pytest.mark.parametrize("missing", ["symbol", "library", "_hashlib"])
+def test_unresolvable_symbol_falls_back_to_reference(missing, monkeypatch):
+    """A fresh copy of the module, imported where the symbol cannot be
+    resolved, picks the pure compress and still hashes correctly."""
+    if missing == "symbol":
+        monkeypatch.setattr(ctypes, "CDLL", _NoSymbols)
+    elif missing == "library":
+        monkeypatch.setattr(ctypes, "CDLL", _unloadable)
+    else:
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+    spec = importlib.util.spec_from_file_location("_sha256_fallback", sha256_mod.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module._TRANSFORM is None and module._COMPRESS is module._compress
+    for message, expected in VECTORS[:3]:
+        hasher = module.SHA256()
+        hasher.update(message)
+        assert hasher.hexdigest() == expected
+    data = bytes(range(128))
+    block_wise = module.SHA256()
+    for i in range(0, 128, 64):
+        block_wise.update_block_words(bytes_to_words(data[i : i + 64]))
+    assert block_wise.digest() == hashlib.sha256(data).digest()
