@@ -9,12 +9,13 @@ back through the engine).  The watched footprint is memoised by L1
 contents.  An AST scan keeps memory internals (the page-stamp table
 included: consumers reach stamps only through ``page_stamp``) and
 ``note_store`` calls inside the modules that own them; a second scan
-lets no other module set an attribute of a memory object.
+lets no module set an attribute of a memory object.  Each owner list is
+a ``{module: reason}`` allowlist judged by :func:`tests.scans.judge`, so
+an owner that no longer needs its exemption fails the scan as well.
 """
 
 import ast
 import copy
-import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,7 @@ from repro.arm.pagetable import (
     make_l1_entry,
 )
 from repro.arm.tlb import FOOTPRINT_MEMO_SIZE, TLB, table_footprint
-
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+from tests import scans
 
 # L1 at secure page 2 referencing an L2 at page 3; pages 1 and 4 are
 # unwatched neighbours, page 5 holds a source page for copies.
@@ -210,51 +210,65 @@ class TestFootprintMemo:
         assert tlb.watches(other)
 
 
-#: Modules allowed to touch memory internals, and to call ``note_store``.
+#: Memory internals; consumers reach page stamps only through ``page_stamp``.
 INTERNALS = {"_buf", "_dirty", "_snap_token", "_stamps", "_tags"}
-INTERNALS_OWNERS = {"arm/memory.py", "arm/encryption.py", "arm/blocks.py"}
-NOTE_STORE_OWNERS = {"arm/memory.py", "arm/tlb.py", "arm/blocks.py"}
+
+#: Module -> why it may touch memory internals.
+INTERNALS_OWNERS = {
+    "arm/memory.py": "PhysicalMemory defines them",
+    "arm/encryption.py": "EncryptedMemory keeps its tags and ciphertext in them",
+    "arm/blocks.py": "turbo's compiled inline stores mark pages in mem._dirty",
+}
+
+#: Module -> why it may call ``note_store``.
+NOTE_STORE_OWNERS = {"arm/memory.py": "the mutators poison the TLB they watch"}
+
+#: Module -> why it may set an attribute of a memory object.
+MEMORY_STATE_OWNERS = {}
+
+
+def touches_internals(node):
+    return node.attr in INTERNALS
+
+
+def calls_note_store(node):
+    return node.attr == "note_store"
+
+
+def sets_memory_state(node):
+    """A store to (or deletion of) an attribute of ``memory`` or of any
+    ``<expr>.memory`` (``state.memory``, ``self.memory``)."""
+    target = getattr(node.value, "id", getattr(node.value, "attr", None))
+    return target == "memory" and isinstance(node.ctx, (ast.Store, ast.Del))
+
+
+def find(trees, breach):
+    """``module -> ["line: .attribute", ...]`` of the modules under
+    ``src/repro`` whose attribute nodes ``breach`` flags, and every
+    module seen."""
+    found, seen = {}, set()
+    for path, tree in trees.items():
+        module = path.relative_to(scans.SRC / "repro").as_posix()
+        seen.add(module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and breach(node):
+                found.setdefault(module, []).append(f"{node.lineno}: .{node.attr}")
+    return found, seen
+
+
+def _check(breach, owners):
+    found, seen = find(scans.trees("src"), breach)
+    unexplained, stale = scans.judge(found, seen, owners)
+    assert not unexplained and not stale, ({m: found[m] for m in unexplained}, stale)
 
 
 def test_store_contract_has_one_owner():
-    breaches = []
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if node.attr in INTERNALS and module not in INTERNALS_OWNERS:
-                breaches.append(f"{module}:{node.lineno} touches .{node.attr}")
-            if node.attr == "note_store" and module not in NOTE_STORE_OWNERS:
-                breaches.append(f"{module}:{node.lineno} calls note_store")
-    assert not breaches, breaches
-
-
-#: Modules allowed to set an attribute of a memory object.
-MEMORY_STATE_OWNERS = {"arm/memory.py", "arm/encryption.py"}
-
-
-def _is_memory(node: ast.expr) -> bool:
-    """``memory``, or any ``<expr>.memory`` (``state.memory``, ``self.memory``)."""
-    return (isinstance(node, ast.Name) and node.id == "memory") or (
-        isinstance(node, ast.Attribute) and node.attr == "memory"
-    )
+    _check(touches_internals, INTERNALS_OWNERS)
+    _check(calls_note_store, NOTE_STORE_OWNERS)
 
 
 def test_only_memory_sets_its_own_state():
     """Memory keeps its own bookkeeping: no other module assigns (or
     deletes) an attribute of a memory object, so no caller can save and
     restore memory state around its own reads or writes."""
-    breaches = []
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
-        if module in MEMORY_STATE_OWNERS:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, (ast.Store, ast.Del))
-                and _is_memory(node.value)
-            ):
-                breaches.append(f"{module}:{node.lineno} sets .{node.attr}")
-    assert not breaches, breaches
+    _check(sets_memory_state, MEMORY_STATE_OWNERS)

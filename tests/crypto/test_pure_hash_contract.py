@@ -7,47 +7,39 @@ or on the pure-Python reference compress where that symbol cannot be
 resolved.  Every other hash persists no chaining state and runs on
 ``hashlib``, one C call per message; simulated cycles come from block
 counts either way.  This scan keeps one-shot hashing from drifting back
-onto the per-block path.
+onto the per-block path: a module names ``SHA256`` by the shared
+name-use rule, :func:`tests.scans.mentions`, and only the modules on
+:data:`ALLOWED` may; :func:`tests.scans.judge` fails an entry that no
+longer names it, or no longer exists.
 """
 
-import ast
-import pathlib
+from tests import scans
 
-import repro
-
-SRC = pathlib.Path(repro.__file__).parent
-
-#: Modules allowed to name ``SHA256``: its definition, the measurement
-#: whose 8 chaining words live in the addrspace page, and the refinement
-#: checker's replay of that measurement.
+#: Module -> why it may name ``SHA256``.
 ALLOWED = {
-    "crypto/sha256.py",
-    "monitor/measurement.py",
-    "verification/refinement.py",
+    "crypto/sha256.py": "its definition",
+    "monitor/measurement.py": (
+        "the measurement, whose 8 chaining words live in the addrspace page"
+    ),
+    "verification/refinement.py": "the refinement checker's replay of the measurement",
 }
 
 
-def references_sha256(tree: ast.AST) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "SHA256":
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == "SHA256":
-            return True
-        if isinstance(node, ast.alias) and node.name == "SHA256":
-            return True
-    return False
+def find(trees):
+    """The modules under ``src/repro`` that name ``SHA256``, and every
+    module seen."""
+    modules = {
+        path.relative_to(scans.SRC / "repro").as_posix(): tree
+        for path, tree in trees.items()
+    }
+    return {m for m, tree in modules.items() if "SHA256" in scans.names(tree)}, modules
 
 
 def test_pure_sha256_only_where_midstate_is_visible():
-    offenders = sorted(
-        path.relative_to(SRC).as_posix()
-        for path in SRC.rglob("*.py")
-        if path.relative_to(SRC).as_posix() not in ALLOWED
-        and references_sha256(ast.parse(path.read_text(), filename=str(path)))
-    )
-    assert offenders == []
+    unexplained, _stale = scans.judge(*scans.run(find, "src"), ALLOWED)
+    assert unexplained == []
 
 
 def test_allowed_modules_still_exist():
-    for module in ALLOWED:
-        assert (SRC / module).is_file(), module
+    _unexplained, stale = scans.judge(*scans.run(find, "src"), ALLOWED)
+    assert stale == []

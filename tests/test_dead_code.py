@@ -3,29 +3,22 @@
 An AST scan lists the functions, classes and methods defined in
 ``src/repro`` and fails on any whose name appears nowhere in ``src/``,
 ``bench/`` or ``examples/`` except at its own definition: code that only
-tests reach.  A name counts as used where it is read as a variable or
-attribute, imported, passed as a keyword, or written as a whole string
-(``getattr`` names, ``module:function`` specs, patch tables); prose in
-docstrings and comments does not count.  Neither does a package
-``__init__.py``: a re-export there is not a caller, so a definition that
-only tests reach cannot hide behind ``__all__``.  Dunder and
-underscore-private names are out of scope.
+tests reach.  A name counts as used by the shared rule,
+:func:`tests.scans.mentions`: prose in docstrings and comments does not
+count.  Neither does a package ``__init__.py``: a re-export there is not
+a caller, so a definition that only tests reach cannot hide behind
+``__all__``.  Dunder and underscore-private names are out of scope.
 
 Definitions that only tests reach on purpose are on :data:`ALLOWED`,
-each with its reason.  An entry that is no longer dead, or no longer
-defined, fails the scan too, so the list cannot go stale.
+each with its reason; :func:`tests.scans.judge` fails an entry that is
+no longer dead, or no longer defined, so the list cannot go stale.
 """
 
 import ast
-import functools
-import pathlib
-import re
 
-REPO = pathlib.Path(__file__).resolve().parents[1]
+from tests import scans
+
 CALLER_DIRS = ("src", "bench", "examples")
-
-_IDENT = re.compile(r"[A-Za-z_]\w*")
-_NAME_STRING = re.compile(r"[\w.:]+")
 
 #: ``module path:qualified name`` -> why only tests reach it.
 ALLOWED = {
@@ -132,22 +125,6 @@ ALLOWED = {
 }
 
 
-def _mentions(node):
-    """Every name ``node`` uses, one entry per use."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield from sub.name.split(".")
-        elif isinstance(sub, ast.keyword) and sub.arg:
-            yield sub.arg
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            if _NAME_STRING.fullmatch(sub.value):
-                yield from _IDENT.findall(sub.value)
-
-
 def _definitions(tree):
     """``(qualified name, name)`` of module-level defs and their methods."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -160,30 +137,24 @@ def _definitions(tree):
                         yield f"{node.name}.{sub.name}", sub.name
 
 
-@functools.lru_cache(maxsize=1)
-def scan():
-    """Keys (as in :data:`ALLOWED`) of every definition only tests reach,
-    and the set of every key the scan saw."""
-    trees = {
-        path: ast.parse(path.read_text(), str(path))
-        for top in CALLER_DIRS
-        for path in sorted((REPO / top).rglob("*.py"))
-    }
+def find(trees):
+    """Keys (as in :data:`ALLOWED`) of every definition under ``src/`` that
+    no module of ``trees`` names, package ``__init__.py`` files aside, and
+    the set of every key the scan saw."""
     uses = {
         name
         for path, tree in trees.items()
         if path.name != "__init__.py"
-        for name in _mentions(tree)
+        for name in scans.names(tree)
     }
-    src = REPO / "src"
     dead, seen = set(), set()
     for path, tree in trees.items():
-        if src not in path.parents:
+        if scans.SRC not in path.parents:
             continue
         for qualname, name in _definitions(tree):
             if name.startswith("_"):
                 continue
-            key = f"{path.relative_to(src).as_posix()}:{qualname}"
+            key = f"{path.relative_to(scans.SRC).as_posix()}:{qualname}"
             seen.add(key)
             if name not in uses:
                 dead.add(key)
@@ -191,8 +162,7 @@ def scan():
 
 
 def test_every_definition_has_a_caller_outside_tests():
-    dead, _seen = scan()
-    unexplained = sorted(dead - set(ALLOWED))
+    unexplained, _stale = scans.judge(*scans.run(find, *CALLER_DIRS), ALLOWED)
     assert not unexplained, (
         "only tests reach these definitions; delete them (with the tests "
         f"that exercise nothing else) or add them to ALLOWED: {unexplained}"
@@ -200,21 +170,5 @@ def test_every_definition_has_a_caller_outside_tests():
 
 
 def test_allowlist_is_current():
-    dead, seen = scan()
-    assert sorted(set(ALLOWED) - seen) == [], "ALLOWED names missing definitions"
-    assert sorted(set(ALLOWED) - dead) == [], "ALLOWED names definitions now used"
-
-
-def test_scan_catches_a_definition_only_tests_reach():
-    tree = ast.parse(
-        "def used():\n    pass\n\n"
-        "def unused():\n    used()\n\n"
-        "class Box:\n    def touched(self):\n        pass\n"
-        "    def untouched(self):\n        self.touched()\n"
-        "\nPATCH = ('mod', 'patched')\n"
-        "def patched():\n    '''mentions unused and untouched in prose'''\n"
-    )
-    uses = set(_mentions(tree))
-    names = [name for _qualname, name in _definitions(tree)]
-    unused = [name for name in names if name not in uses]
-    assert unused == ["unused", "Box", "untouched"]
+    _unexplained, stale = scans.judge(*scans.run(find, *CALLER_DIRS), ALLOWED)
+    assert not stale, stale

@@ -20,16 +20,13 @@ subclasses, ``super().__init__`` in a subclass, ``Class.__init__(self, ...)``
 and ``cls(...)`` inside the class or a subclass all count.
 
 Defaults that no call sets on purpose are on :data:`ALLOWED`, each with
-its reason.  An entry that a call now sets, or that names no defaulted
-parameter, fails the scan too, so the list cannot go stale.
+its reason; :func:`tests.scans.judge` fails an entry that a call now
+sets, or that names no defaulted parameter, so the list cannot go stale.
 """
 
 import ast
-import functools
-import pathlib
 
-REPO = pathlib.Path(__file__).resolve().parents[1]
-CALLER_DIRS = ("src", "bench", "examples", "tests", "benchmarks")
+from tests import scans
 
 #: ``module path:qualified name(parameter)`` -> why no call sets it.
 ALLOWED = {
@@ -42,15 +39,6 @@ ALLOWED = {
         "constructor call's engine= reaches __init__"
     ),
 }
-
-
-@functools.lru_cache(maxsize=1)
-def _trees():
-    return {
-        path: ast.parse(path.read_text(), str(path))
-        for top in CALLER_DIRS
-        for path in sorted((REPO / top).rglob("*.py"))
-    }
 
 
 def _callee(func):
@@ -188,17 +176,16 @@ def _subclasses(trees):
     return family
 
 
-def scan_trees(trees, src):
-    """Keys (as in :data:`ALLOWED`) of every default no call sets, and the
-    set of every key the scan saw, over ``trees`` (``path -> module``),
-    reporting definitions under ``src``."""
+def find(trees):
+    """Keys (as in :data:`ALLOWED`) of every default under ``src/`` that no
+    call in ``trees`` sets, and the set of every key the scan saw."""
     family = _subclasses(trees)
     sites = _sites(trees, family)
     unset, seen = set(), set()
     for path, tree in trees.items():
-        if src not in path.parents:
+        if scans.SRC not in path.parents:
             continue
-        module = path.relative_to(src).as_posix()
+        module = path.relative_to(scans.SRC).as_posix()
         for qualname, name, owner, func, method in _functions(tree):
             if name == "__init__":
                 calls = [
@@ -216,14 +203,8 @@ def scan_trees(trees, src):
     return unset, seen
 
 
-@functools.lru_cache(maxsize=1)
-def scan():
-    return scan_trees(_trees(), REPO / "src")
-
-
 def test_every_default_is_set_by_some_call():
-    unset, _seen = scan()
-    unexplained = sorted(unset - set(ALLOWED))
+    unexplained, _stale = scans.judge(*scans.run(find, *scans.TOPS), ALLOWED)
     assert not unexplained, (
         "no call sets these defaults; make each a literal or constant at its "
         f"point of use, or add it to ALLOWED: {unexplained}"
@@ -231,36 +212,5 @@ def test_every_default_is_set_by_some_call():
 
 
 def test_allowlist_is_current():
-    unset, seen = scan()
-    assert sorted(set(ALLOWED) - seen) == [], "ALLOWED names missing parameters"
-    assert sorted(set(ALLOWED) - unset) == [], "ALLOWED names parameters now set"
-
-
-def test_scan_catches_an_unset_default():
-    src = pathlib.Path("/src")
-    module = (
-        "def knob(a, b=1, c=2, d=3, *, e=4):\n    pass\n\n"
-        "def spread(a=1):\n    pass\n\n"
-        "def bound(a=1):\n    pass\n\n"
-        "class Base:\n"
-        "    def __init__(self, x=0, y=0):\n        pass\n\n"
-        "class Child(Base):\n"
-        "    def __init__(self):\n        super().__init__(y=5)\n\n"
-        "class Built:\n"
-        "    def __init__(self, size=1):\n        pass\n"
-        "    @classmethod\n"
-        "    def make(cls):\n        return cls(2)\n"
-    )
-    callers = (
-        "knob(0, 9)\nknob(0, e=7)\n"
-        "spread(**{'a': 2})\n"
-        "functools.partial(bound)\n"
-        "Built.make()\n"
-    )
-    trees = {
-        src / "m.py": ast.parse(module),
-        pathlib.Path("/tests/t.py"): ast.parse(callers),
-    }
-    unset, seen = scan_trees(trees, src)
-    assert unset == {"m.py:knob(c)", "m.py:knob(d)", "m.py:Base.__init__(x)"}
-    assert {"m.py:spread(a)", "m.py:bound(a)", "m.py:Built.__init__(size)"} <= seen
+    _unexplained, stale = scans.judge(*scans.run(find, *scans.TOPS), ALLOWED)
+    assert not stale, stale
