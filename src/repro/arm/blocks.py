@@ -9,7 +9,7 @@ a single Python function whose body chains the operand semantics of
 every instruction in the run, with register values and NZCV flags held
 in Python locals.  One call then retires many instructions.
 
-Turbo v2 (DESIGN.md, "Turbo engine") adds four layers on top of the
+Turbo v2 (DESIGN.md, "Turbo engine") adds three layers on top of the
 original per-block compiler, all bit-identical to the reference engine:
 
 * **Region compilation** — a compiled unit is no longer one basic
@@ -23,13 +23,6 @@ original per-block compiler, all bit-identical to the reference engine:
   the target leg fits the remaining budget (passed in as an argument),
   so asynchronous exceptions are delivered at exactly the block
   boundaries the per-block dispatcher would have used.
-
-* **Block chaining** — the dispatch loop records, per region exit pc,
-  which compiled region ran next, and follows those links directly on
-  later dispatches (``cpu.TurboCPU.run``).  Links are validated
-  against ``TLB.version`` (the virtual target must still map the same
-  physical code) and ``UArchState.chain_gen`` (no store can have
-  rewritten any compiled region's words) — see ``link``/``unlink``.
 
 * **Inline memory fast paths** — when the machine's memory is exactly
   ``PhysicalMemory`` (never ``EncryptedMemory``, whose per-word
@@ -84,17 +77,18 @@ Invalidation reuses the fast engine's machinery:
 
 The block cache lives in ``MachineState.uarch.bcache`` (never captured
 by snapshots, emptied by every restore) and is bounded by
-``BLOCK_CACHE_CAP`` with LRU eviction; eviction and invalidation tear
-down every chain link into and out of the dead entry (``unlink``) so no
-dangling chain can resurrect it.
+``BLOCK_CACHE_CAP`` with LRU eviction.  Every region exit returns to
+the dispatch loop (``cpu.TurboCPU.run``), which translates the next pc
+and finds its region through ``lookup``, so a region runs only after
+this validation.
 
 Under the block cache's miss path sits a per-machine compile memo,
 ``uarch.compiled`` (``_compiled``), which restores keep.  It maps the
 content a region's generated source and namespace depend on — entry
 address, traced variant, validation-span offset and words, member
 layout — to the compiled function, so a restored machine running the
-same code again still discovers, revalidates and chains it, and skips
-only ``compile()``.  Rewritten or recycled code is a different key.  A
+same code again still discovers and revalidates it, and skips only
+``compile()``.  Rewritten or recycled code is a different key.  A
 function that bakes the inline memory path is served only to the
 machine whose memory it baked (a deep copy's memo holds the donor's
 functions).
@@ -141,13 +135,6 @@ REGION_BLOCK_CAP = 48
 #: Bound on the region-discovery memo: one entry per (entry address,
 #: page stamp) pair, shared by every machine in the process.
 REGION_MEMO_SIZE = 1024
-
-#: Bound on outgoing chain links per region (megamorphic exits — e.g.
-#: a ``bxlr`` returning to many call sites — stop chaining past this).
-CHAIN_CAP = 8
-#: Bound on recorded back-links per region; a link is only created
-#: while its teardown bookkeeping has room, so ``unlink`` is complete.
-BACKLINK_CAP = 32
 
 #: Conditional-branch predicates over the flag locals (same truth table
 #: as cpu._CONDITIONS, restated over ``fn_``/``fz_``/``fc_``/``fv_``).
@@ -520,7 +507,6 @@ def compile_region(
         if inline:
             emit("    gw = 0")
             emit("    _tp = _tlb._table_pages")
-            emit("    _cpg = _uarch.code_pages")
     if has_branch:
         emit("    nb = 0")
     emit("    done = 0")
@@ -608,8 +594,6 @@ def compile_region(
                     emit(f"{B}        _mw[_o >> 2] = r{instr.rd}_")
                     emit(f"{B}        _md.add(_o >> 12)")
                     emit(f"{B}        gw += 1")
-                    emit(f"{B}        if _sp >> 12 in _cpg:")
-                    emit(f"{B}            _uarch.chain_gen += 1")
                     emit(f"{B}        if _sp & 0xFFFFF000 in _tp:")
                     emit(f"{B}            _tlb.note_store(_sp)")
                     emit(f"{B}    else:")
@@ -750,64 +734,17 @@ def compile_region(
 # The block cache
 # ---------------------------------------------------------------------------
 
-#: bcache entry layout.  Slots 0-3 are the v1 layout (validation
-#: generation, source words, untraced function, entry-block instruction
-#: count — the budget the dispatcher must guarantee); v2 appends the
-#: chain-link dict (exit pc -> [successor entry, TLB.version stamp,
-#: chain_gen stamp]), the back-link list (pairs of (predecessor entry,
-#: exit pc), for teardown), the lazily compiled traced variant, and the
-#: word offset of the validation span relative to the entry address.
-_GEN, _WORDS, _FN, _LEN, _CHAIN, _INL, _FNT, _WOFF = range(8)
+#: bcache entry layout: validation generation, source words, untraced
+#: function, entry-block instruction count (the budget the dispatcher
+#: must guarantee), the lazily compiled traced variant, and the word
+#: offset of the validation span relative to the entry address.
+_GEN, _WORDS, _FN, _LEN, _FNT, _WOFF = range(6)
 
 
 def _inline_mem(cpu) -> Optional[PhysicalMemory]:
     """The memory object iff the inline fast path is allowed for it."""
     memory = cpu.state.memory
     return memory if type(memory) is PhysicalMemory else None
-
-
-def link(pred: list, key: int, succ: list, tv: int, chain_gen: int) -> None:
-    """Record (or re-stamp) the chain link ``pred --key--> succ``.
-
-    ``key`` is the exit pc ``pred`` produced; ``tv``/``chain_gen`` are
-    the stamps under which the link was observed valid (the target
-    translation and every compiled region's words are unchanged while
-    both still match).  Links are only created while the chain and
-    back-link tables have room, so ``unlink`` can always find them.
-    """
-    chain = pred[_CHAIN]
-    old = chain.get(key)
-    if old is not None:
-        if old[0] is succ:
-            old[1] = tv
-            old[2] = chain_gen
-            return
-        inl = old[0][_INL]
-        inl[:] = [bl for bl in inl if bl[0] is not pred or bl[1] != key]
-        del chain[key]
-    if len(chain) >= CHAIN_CAP or len(succ[_INL]) >= BACKLINK_CAP:
-        return
-    chain[key] = [succ, tv, chain_gen]
-    succ[_INL].append((pred, key))
-
-
-def unlink(entry: list) -> None:
-    """Tear down every chain link into and out of ``entry``.
-
-    Called when an entry leaves the cache (LRU eviction or
-    invalidation by changed words) so no predecessor's chain can
-    dispatch a dead region and no back-link keeps it alive.
-    """
-    for pred, key in entry[_INL]:
-        stale = pred[_CHAIN].get(key)
-        if stale is not None and stale[0] is entry:
-            del pred[_CHAIN][key]
-    entry[_INL].clear()
-    for key, out in entry[_CHAIN].items():
-        inl = out[0][_INL]
-        if inl:
-            inl[:] = [bl for bl in inl if bl[0] is not entry]
-    entry[_CHAIN].clear()
 
 
 def _compiled(
@@ -873,8 +810,7 @@ def lookup(cpu, paddr: int, traced: bool = False) -> Optional[list]:
     """
     state = cpu.state
     memory = state.memory
-    uarch = state.uarch
-    bcache = uarch.bcache
+    bcache = state.uarch.bcache
     entry = bcache.get(paddr)
     if entry is not None:
         if entry[_GEN] != memory.generation:
@@ -887,7 +823,6 @@ def lookup(cpu, paddr: int, traced: bool = False) -> Optional[list]:
             if words == entry[_WORDS]:
                 entry[_GEN] = memory.generation
             else:
-                unlink(entry)
                 del bcache[paddr]
                 entry = None
         if entry is not None:
@@ -905,8 +840,7 @@ def lookup(cpu, paddr: int, traced: bool = False) -> Optional[list]:
     fn = _compiled(cpu, region, paddr, words, woff, False)
     fnt = _compiled(cpu, region, paddr, words, woff, True) if traced else None
     if len(bcache) >= BLOCK_CACHE_CAP:
-        unlink(bcache.pop(next(iter(bcache))))
-    entry = [memory.generation, words, fn, len(region[0][1]), {}, [], fnt, woff]
+        del bcache[next(iter(bcache))]
+    entry = [memory.generation, words, fn, len(region[0][1]), fnt, woff]
     bcache[paddr] = entry
-    uarch.code_pages.add(paddr >> 12)
     return entry

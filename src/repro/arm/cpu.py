@@ -913,8 +913,10 @@ class TurboCPU(FastCPU):
     * stores re-check ``TLB.version`` and the block's own physical span
       and bail out to the dispatch loop when stale, so self-modifying
       code and translation changes behave as under single-step;
-    * the block cache is validated against ``PhysicalMemory.generation``
-      with word-compare revalidation and bounded by an LRU cap
+    * every region exit returns to ``run``, which translates the next
+      pc and finds its region through ``blocks.lookup``: the block cache
+      is validated against ``PhysicalMemory.generation`` with
+      word-compare revalidation and bounded by an LRU cap
       (``blocks.BLOCK_CACHE_CAP``).
     """
 
@@ -928,17 +930,6 @@ class TurboCPU(FastCPU):
         self._retired = 0
         self._fault_off = 0
 
-    def _store(self, vaddr: int, value: int) -> int:
-        # Chain-link maintenance: a store that may rewrite a compiled
-        # block's words invalidates every block-to-block chain link
-        # (the links skip per-dispatch revalidation).  Inline stores in
-        # generated code perform the same check themselves.
-        paddr = super()._store(vaddr, value)
-        uarch = self.state.uarch
-        if paddr >> 12 in uarch.code_pages:
-            uarch.chain_gen += 1
-        return paddr
-
     def run(
         self,
         entry_pc: int,
@@ -951,32 +942,8 @@ class TurboCPU(FastCPU):
         state.tlb.require_consistent()
         pc = to_word(entry_pc)
         steps = 0
-        # Hot-loop locals.  The one-entry fetch-translation cache
-        # (vpage/pbase, guarded by TLB.version) and the inline block
-        # lookup shave two dict probes off every block dispatch; both
-        # fall back to the full paths on any miss or version change.
-        tlb = state.tlb
-        memory = state.memory
-        uarch = state.uarch
-        bcache = uarch.bcache
-        cap = _blocks.BLOCK_CACHE_CAP
         traced = self.access_trace is not None
-        fslot = 6 if traced else 2  # blocks._FNT / blocks._FN
-        # Chain-stamp sync: anything may have mutated memory since the
-        # last run (monitor page operations, injected bit flips).  One
-        # conservative chain_gen bump severs every recorded link; the
-        # slow dispatch path below re-validates and re-stamps them.
-        if memory.generation != uarch.chain_memgen:
-            uarch.chain_gen += 1
-            uarch.chain_memgen = memory.generation
-        last_vpage = -1
-        last_pbase = 0
-        last_tv = -1
-        # The last block whose exit pc had no (valid) chain link yet:
-        # once the successor block for that pc is resolved, record the
-        # link so the next dispatch hops directly.
-        pred = None
-        pred_key = 0
+        fslot = _blocks._FNT if traced else _blocks._FN
         while True:
             if interrupt_after is not None and steps >= interrupt_after:
                 self._exception_entry(ExceptionKind.IRQ, pc)
@@ -985,91 +952,42 @@ class TurboCPU(FastCPU):
                 self._exception_entry(ExceptionKind.IRQ, pc)
                 return ExecutionResult(ExitReason.STEP_LIMIT, steps=steps)
             entry = None
-            budget = 0
             if not pc & 3:
-                tv = tlb.version
-                vpage = pc >> 12
-                if vpage == last_vpage and tv == last_tv:
-                    paddr = last_pbase | (pc & 0xFFF)
-                else:
-                    try:
-                        paddr = self._translate(pc, write=False, execute=True)
-                    except _UserFault as fault:
-                        self._exception_entry(ExceptionKind.ABORT, pc)
-                        return ExecutionResult(
-                            ExitReason.ABORT, fault_address=fault.vaddr, steps=steps
-                        )
-                    last_vpage = vpage
-                    last_pbase = paddr & ~0xFFF
-                    last_tv = tv
-                entry = bcache.get(paddr)
-                if (
-                    entry is None
-                    or entry[0] != memory.generation
-                    or (traced and entry[6] is None)
-                ):
-                    entry = _blocks.lookup(self, paddr, traced)
-                elif 2 * len(bcache) >= cap and next(reversed(bcache)) != paddr:
-                    bcache[paddr] = bcache.pop(paddr)  # LRU touch
+                try:
+                    paddr = self._translate(pc, write=False, execute=True)
+                except _UserFault as fault:
+                    self._exception_entry(ExceptionKind.ABORT, pc)
+                    return ExecutionResult(
+                        ExitReason.ABORT, fault_address=fault.vaddr, steps=steps
+                    )
+                entry = _blocks.lookup(self, paddr, traced)
                 budget = max_steps - steps
                 if interrupt_after is not None:
                     window = interrupt_after - steps
                     if window < budget:
                         budget = window
-                if entry is not None and entry[3] > budget:
+                if entry is not None and entry[_blocks._LEN] > budget:
                     # The block would run through an asynchronous
                     # exception boundary; single-step up to it instead.
                     entry = None
             if entry is not None:
-                if pred is not None:
-                    if pc == pred_key:
-                        _blocks.link(pred, pred_key, entry, tlb.version, uarch.chain_gen)
-                    pred = None
-                # Chained dispatch: after each block returns, follow its
-                # recorded link for the produced pc directly — skipping
-                # translation, cache probe, and revalidation — as long
-                # as the link's TLB.version/chain_gen stamps are current
-                # and the successor fits the remaining exception window.
-                while True:
-                    self._retired = 0
-                    try:
-                        next_pc, svc = entry[fslot](self, pc, budget)
-                    except _UserFault as fault:
-                        steps += self._retired
-                        self._exception_entry(
-                            ExceptionKind.ABORT,
-                            (pc + self._fault_off * WORDSIZE) & _M,
-                        )
-                        return ExecutionResult(
-                            ExitReason.ABORT, fault_address=fault.vaddr, steps=steps
-                        )
+                self._retired = 0
+                try:
+                    next_pc, svc = entry[fslot](self, pc, budget)
+                except _UserFault as fault:
                     steps += self._retired
-                    if svc is not None:
-                        self._exception_entry(ExceptionKind.SVC, next_pc)
-                        return ExecutionResult(
-                            ExitReason.SVC, svc_number=svc, steps=steps
-                        )
-                    pc = next_pc
-                    link = entry[4].get(pc)  # blocks._CHAIN
-                    if (
-                        link is None
-                        or link[1] != tlb.version
-                        or link[2] != uarch.chain_gen
-                    ):
-                        pred = entry
-                        pred_key = pc
-                        break
-                    succ = link[0]
-                    budget = max_steps - steps
-                    if interrupt_after is not None:
-                        window = interrupt_after - steps
-                        if window < budget:
-                            budget = window
-                    if succ[3] > budget or succ[fslot] is None:
-                        pred = entry
-                        pred_key = pc
-                        break
-                    entry = succ
+                    self._exception_entry(
+                        ExceptionKind.ABORT,
+                        (pc + self._fault_off * WORDSIZE) & _M,
+                    )
+                    return ExecutionResult(
+                        ExitReason.ABORT, fault_address=fault.vaddr, steps=steps
+                    )
+                steps += self._retired
+                if svc is not None:
+                    self._exception_entry(ExceptionKind.SVC, next_pc)
+                    return ExecutionResult(ExitReason.SVC, svc_number=svc, steps=steps)
+                pc = next_pc
                 continue
             # Single-step fallback: misaligned pc, an op the block
             # compiler excludes (udf/smc), or a block longer than the

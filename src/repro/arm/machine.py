@@ -63,9 +63,8 @@ class UArchState:
     (keyed by virtual page, validated against ``TLB.version``).  A
     snapshot never captures this state.  ``reset`` (run by ``restore``
     and by ``KomodoMonitor.recover``) empties every validated cache:
-    decode cache, micro-TLB, block cache, code pages and chain links.
-    A restored machine then discovers, revalidates and chains its code
-    exactly as a cold one does.
+    decode cache, micro-TLB and block cache.  A restored machine then
+    discovers and revalidates its code exactly as a cold one does.
 
     One table survives ``reset``: ``compiled``, the turbo compiler's
     content-keyed memo (``blocks._compiled``).  Its key is everything a
@@ -81,9 +80,6 @@ class UArchState:
         "utlb",
         "utlb_version",
         "bcache",
-        "code_pages",
-        "chain_gen",
-        "chain_memgen",
         "compiled",
     )
 
@@ -105,18 +101,6 @@ class UArchState:
         self.utlb = {}
         self.utlb_version = -1
         self.bcache = {}
-        #: Physical pages holding any compiled block's source words
-        #: (grow-only; bounded by the number of physical pages).
-        self.code_pages = set()
-        #: Bumped whenever a store may have rewritten compiled code
-        #: (any CPU store into ``code_pages``, or — detected lazily at
-        #: run entry via ``chain_memgen`` — any mutation between runs).
-        #: Turbo chain links are validated against this, not against
-        #: ``memory.generation``, so ordinary data stores do not sever
-        #: block-to-block chains.
-        self.chain_gen = 0
-        #: ``memory.generation`` as of the last chain-stamp sync.
-        self.chain_memgen = -1
 
 
 @dataclass

@@ -9,18 +9,24 @@ back through the engine).  The watched footprint is memoised by L1
 contents.  An AST scan keeps memory internals (the page-stamp table
 included: consumers reach stamps only through ``page_stamp``) and
 ``note_store`` calls inside the modules that own them; a second scan
-lets no module set an attribute of a memory object.  Each owner list is
-a ``{module: reason}`` allowlist judged by :func:`tests.scans.judge`, so
-an owner that no longer needs its exemption fails the scan as well.
+lets no module set an attribute of a memory object.  Both scans also
+read the Python source the turbo engine generates (:func:`generated`),
+which no file holds.  Each owner list is a ``{module: reason}``
+allowlist judged by :func:`tests.scans.judge`, so an owner that no
+longer needs its exemption fails the scan as well.
 """
 
 import ast
 import copy
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.isa_workloads import CODE_VA, DATA_VA, DATA_WORDS, WORKLOADS, stage
+from repro.arm.assembler import Assembler
+from repro.arm.cpu import CPU, ExitReason
 from repro.arm.encryption import EncryptedMemory
 from repro.arm.machine import MachineState
 from repro.arm.memory import PAGE_SIZE, MemoryMap, PhysicalMemory
@@ -32,7 +38,9 @@ from repro.arm.pagetable import (
     make_l1_entry,
 )
 from repro.arm.tlb import FOOTPRINT_MEMO_SIZE, TLB, table_footprint
+from repro.monitor.layout import SVC
 from tests import scans
+from tests.arm.test_turbo_chaining import make_encrypted_state
 
 # L1 at secure page 2 referencing an L2 at page 3; pages 1 and 4 are
 # unwatched neighbours, page 5 holds a source page for copies.
@@ -220,11 +228,20 @@ INTERNALS_OWNERS = {
     "arm/blocks.py": "turbo's compiled inline stores mark pages in mem._dirty",
 }
 
+#: Owner key of the region source the turbo engine generates and compiles
+#: (``blocks.compile_region``), which no module file holds.
+GENERATED = "arm/<compiled regions>"
+
 #: Module -> why it may call ``note_store``.
-NOTE_STORE_OWNERS = {"arm/memory.py": "the mutators poison the TLB they watch"}
+NOTE_STORE_OWNERS = {
+    "arm/memory.py": "the mutators poison the TLB they watch",
+    GENERATED: "inline stores bypass the mutators, so they poison a watched table page themselves",
+}
 
 #: Module -> why it may set an attribute of a memory object.
-MEMORY_STATE_OWNERS = {}
+MEMORY_STATE_OWNERS = {
+    GENERATED: "inline stores bypass the mutators, so their count is flushed into _mem.generation",
+}
 
 
 def touches_internals(node):
@@ -236,10 +253,11 @@ def calls_note_store(node):
 
 
 def sets_memory_state(node):
-    """A store to (or deletion of) an attribute of ``memory`` or of any
-    ``<expr>.memory`` (``state.memory``, ``self.memory``)."""
+    """A store to (or deletion of) an attribute of ``memory``, of any
+    ``<expr>.memory`` (``state.memory``, ``self.memory``), or of
+    ``_mem``, the memory a compiled region binds."""
     target = getattr(node.value, "id", getattr(node.value, "attr", None))
-    return target == "memory" and isinstance(node.ctx, (ast.Store, ast.Del))
+    return target in ("memory", "_mem") and isinstance(node.ctx, (ast.Store, ast.Del))
 
 
 def find(trees, breach):
@@ -256,8 +274,65 @@ def find(trees, breach):
     return found, seen
 
 
+def store_program():
+    """Double ``r0`` data words in place: the staged workloads only load,
+    and inline stores are where compiled code touches memory state."""
+    asm = Assembler()
+    asm.mov32("r4", DATA_VA)
+    asm.label("loop")
+    asm.ldr("r2", "r4", 0)
+    asm.add("r2", "r2", "r2")
+    asm.str_("r2", "r4", 0)
+    asm.addi("r4", "r4", 4)
+    asm.subi("r0", "r0", 1)
+    asm.cmpi("r0", 0)
+    asm.bne("loop")
+    asm.svc(SVC.EXIT)
+    return asm
+
+
+#: Staged program -> a small r0 for it.
+PROGRAMS = {
+    "checksum": (WORKLOADS["checksum"][0], 8),
+    "notary": (WORKLOADS["notary"][0], 150),
+    "sha256": (WORKLOADS["sha256"][0], 1),
+    "store": (store_program, 4),
+}
+
+
+def encrypted(staged):
+    """``staged``'s program, data and r0 over ``EncryptedMemory``."""
+    memmap = staged.memmap
+    state = make_encrypted_state(
+        staged.memory.read_words(memmap.page_base(2), PAGE_SIZE // 4),
+        data_words=staged.memory.read_words(memmap.page_base(3), DATA_WORDS),
+    )
+    state.regs.write_gpr(0, staged.regs.read_gpr(0))
+    return state
+
+
+@functools.lru_cache(maxsize=None)
+def generated():
+    """``{path: module}`` holding every region source the turbo engine
+    compiles for :data:`PROGRAMS` staged by ``isa_workloads.stage``:
+    untraced and traced with the inline memory path, and over
+    ``EncryptedMemory`` without it.  The path reads as :data:`GENERATED`."""
+    sources = []
+    for factory, r0 in PROGRAMS.values():
+        for variant in ("inline", "traced", "encrypted"):
+            state = stage(factory(), r0)
+            if variant == "encrypted":
+                state = encrypted(state)
+            cpu = CPU(state, engine="turbo")
+            if variant == "traced":
+                cpu.access_trace = []
+            assert cpu.run(CODE_VA, max_steps=100_000).reason is ExitReason.SVC
+            sources.extend(fn.__source__ for fn in state.uarch.compiled.values())
+    return {scans.SRC / "repro" / GENERATED: ast.parse("\n\n".join(sources))}
+
+
 def _check(breach, owners):
-    found, seen = find(scans.trees("src"), breach)
+    found, seen = find({**scans.trees("src"), **generated()}, breach)
     unexplained, stale = scans.judge(found, seen, owners)
     assert not unexplained and not stale, ({m: found[m] for m in unexplained}, stale)
 

@@ -1,13 +1,12 @@
-"""Turbo v2 chaining edge cases and bulk-memory safety rails.
+"""Turbo cross-region dispatch edge cases and bulk-memory safety rails.
 
-Block chaining lets one compiled region dispatch its successor without
-going back through translation and cache validation, so every way a
-recorded link can go stale must sever it: a store rewriting the
-chained-to region's words, an asynchronous-exception deadline landing
-between chained regions, a translation switch changing where the exit
-pc points, and LRU eviction destroying the successor outright.  Each
-scenario runs differentially on all three engines, plus white-box
-checks on the link tables themselves.
+Every region exit returns to the dispatch loop, which translates the
+next pc and finds its region through ``blocks.lookup`` before running
+it.  These cases stress that crossing: a store rewriting the next
+region's words, an asynchronous-exception deadline landing between
+regions, a translation switch changing where the exit pc points, and
+LRU eviction destroying the next region outright.  Each scenario runs
+differentially on all three engines.
 
 The second half pins the bulk-memory contract: ``EncryptedMemory``
 must never take any bulk or inline fast path — every word goes through
@@ -48,7 +47,7 @@ def asm_list(build):
 
 def cross_branch(op, from_va, to_va):
     """Encode a branch at ``from_va`` targeting ``to_va`` (cross-page
-    branches are region exits, so these are the edges chaining links)."""
+    branches are region exits, so each goes back through dispatch)."""
     return encode(Instruction(op, imm=(to_va - from_va) // WORDSIZE - 1))
 
 
@@ -58,7 +57,7 @@ def two_page_loop(iters):
     code page: r0 = r1 = 0; loop head increments r0, branches to the
     RWX page; RWX page increments r1, loops back while r0 != iters,
     then exits via svc.  Every iteration crosses two region exits, so
-    a warm run follows two chain links per lap.
+    a warm run dispatches two regions per lap.
     """
     code = asm_list(
         lambda a: a.movw("r0", 0).movw("r1", 0).addi("r0", "r0", 1)
@@ -101,54 +100,12 @@ class TestChainFormation:
         assert state.regs.read_gpr(0) == 5
         assert state.regs.read_gpr(1) == 5
 
-    def test_links_recorded_with_current_stamps(self):
-        code, rwx = two_page_loop(5)
-        _, state, _ = run_engines(code, rwx)
-        memmap = state.memmap
-        bcache = state.uarch.bcache
-        head = bcache[memmap.page_base(CODE_PAGE) + 2 * WORDSIZE]  # loop head
-        body = bcache[memmap.page_base(RWX_PAGE)]
-        # head --(b RWX_VA)--> body --(bne loop)--> head, both stamped
-        # with the live TLB version and chain generation.
-        link_out = head[blocks._CHAIN][RWX_VA]
-        assert link_out[0] is body
-        link_back = body[blocks._CHAIN][CODE_VA + 2 * WORDSIZE]
-        assert link_back[0] is head
-        for link in (link_out, link_back):
-            assert link[1] == state.tlb.version
-            assert link[2] == state.uarch.chain_gen
-        assert any(p is head for p, _ in body[blocks._INL])
-        assert any(p is body for p, _ in head[blocks._INL])
-
-    def test_links_are_followed_not_rerecorded(self, monkeypatch):
-        """Once a link is recorded, later laps follow it directly: the
-        dispatcher only calls ``blocks.link`` when a region exit had no
-        valid link.  A warm 8-lap loop therefore records a handful of
-        links, not two per lap."""
-        calls = []
-        orig = blocks.link
-
-        def counting_link(*args):
-            calls.append(args)
-            return orig(*args)
-
-        monkeypatch.setattr(blocks, "link", counting_link)
-        code, rwx = two_page_loop(8)
-        state = make_state(code, rwx_words=rwx)
-        cpu = CPU(state, engine="turbo")
-        result = cpu.run(CODE_VA, max_steps=10_000)
-        assert result.reason is ExitReason.SVC
-        assert state.regs.read_gpr(0) == 8
-        # 3 region-exit edges exist (entry->body, body->head, head->body);
-        # without chaining the loop would re-record ~2 per lap (16+).
-        assert len(calls) <= 4
-
 
 class TestStoreIntoChainedSuccessor:
     def test_patch_chained_to_block(self):
         """A store in the code-page region rewrites the first word of
-        the RWX-page region it chains to.  The store bumps chain_gen,
-        so the stale link must not dispatch the old compiled body: the
+        the RWX-page region it branches to.  The store moves the memory
+        generation, so the old compiled body must not run again: the
         next lap refetches the patched instruction exactly like the
         reference engine."""
         patched = encode(Instruction("movw", rd=7, imm=99))
@@ -186,13 +143,13 @@ class TestStoreIntoChainedSuccessor:
 class TestInterruptMidChain:
     def test_every_interrupt_window(self):
         """Sweep the IRQ deadline across the whole warm loop: every
-        window, including those landing exactly between chained
-        regions and inside a region leg, must deliver at the same
-        instruction boundary on all engines."""
+        window, including those landing exactly between regions and
+        inside a region leg, must deliver at the same instruction
+        boundary on all engines."""
         code, rwx = two_page_loop(4)
         baseline, _, _ = run_engines(code, rwx)
         total = baseline.steps
-        assert total > 12  # several laps, so windows straddle chain hops
+        assert total > 12  # several laps, so windows straddle region exits
         for window in range(1, total):
             result, _, _ = run_engines(code, rwx, interrupt_after=window)
             assert result.reason is ExitReason.IRQ
@@ -214,10 +171,10 @@ class TestTranslationSwitchAcrossChain:
         return alt
 
     def test_ttbr_switch_between_runs_severs_warm_chains(self):
-        """After a warm chained run, new tables remap RWX_VA to a
-        different frame.  The second run's chain stamps are stale
-        (TLB.version changed), so the loop must fetch the new frame's
-        code, not the chained-to compiled body of the old one."""
+        """After a warm run, new tables remap RWX_VA to a different
+        frame.  The second run translates the exit pc afresh (TLB.version
+        changed), so the loop must fetch the new frame's code, not the
+        compiled body of the old one."""
         code, rwx = two_page_loop(3)
         alt = self._alt_words()
         outcomes = {}
@@ -259,9 +216,9 @@ class TestTranslationSwitchAcrossChain:
     def test_table_store_between_chained_blocks(self):
         """Mid-run translation switch: with the L2 table itself mapped
         writable, the loop body rewrites the RWX_VA entry to point at a
-        new frame, then takes the already-chained cross-page branch.
-        The store poisons the TLB (version bump), so the chain must
-        break and the branch must fetch the new frame."""
+        new frame, then takes the already-taken cross-page branch.
+        The store poisons the TLB (version bump), so the branch must
+        fetch the new frame."""
         tab_va = 0x0000_8000
         probe = MachineState.boot(secure_pages=8).memmap
         new_frame = probe.page_base(7)
@@ -308,64 +265,16 @@ class TestTranslationSwitchAcrossChain:
 
 
 class TestEvictionTeardown:
-    def test_unlink_clears_both_directions(self):
-        code, rwx = two_page_loop(4)
-        _, state, _ = run_engines(code, rwx)
-        memmap = state.memmap
-        bcache = state.uarch.bcache
-        head = bcache[memmap.page_base(CODE_PAGE) + 2 * WORDSIZE]
-        body = bcache[memmap.page_base(RWX_PAGE)]
-        assert head[blocks._CHAIN] and body[blocks._INL]
-        blocks.unlink(body)
-        assert body[blocks._CHAIN] == {} and body[blocks._INL] == []
-        assert RWX_VA not in head[blocks._CHAIN]
-        assert all(p is not body for p, _ in head[blocks._INL])
-
-    def test_link_caps_and_retarget(self):
-        code, rwx = two_page_loop(3)
-        _, state, cpu = run_engines(code, rwx)
-        bcache = state.uarch.bcache
-        entries = list(bcache.values())
-        pred, succ = entries[0], entries[1]
-        blocks.unlink(pred)
-        blocks.unlink(succ)
-        for key in range(blocks.CHAIN_CAP):
-            blocks.link(pred, key, succ, 1, 1)
-        assert len(pred[blocks._CHAIN]) == blocks.CHAIN_CAP
-        blocks.link(pred, 0xDEAD, succ, 1, 1)  # at cap: not recorded
-        assert 0xDEAD not in pred[blocks._CHAIN]
-        # Re-stamping an existing link updates in place.
-        blocks.link(pred, 0, succ, 7, 8)
-        assert pred[blocks._CHAIN][0][1:] == [7, 8]
-        # Retargeting removes the old back-link before re-checking caps.
-        other = entries[2] if len(entries) > 2 else [0, [], None, 1, {}, [], None, 0]
-        blocks.unlink(other)
-        blocks.link(pred, 0, other, 2, 2)
-        assert pred[blocks._CHAIN][0][0] is other
-        assert all(not (p is pred and k == 0) for p, k in succ[blocks._INL])
-        assert any(p is pred and k == 0 for p, k in other[blocks._INL])
-
     def test_eviction_under_tiny_cap_keeps_graph_consistent(self, monkeypatch):
-        """With room for only 2 entries, the 3-region loop evicts (and
-        must unlink) a chained region on every lap; behaviour stays
-        bit-identical and the link graph never dangles."""
+        """With room for only 2 entries, the 3-region loop evicts a
+        region it is about to re-enter on every lap; behaviour stays
+        bit-identical and the cache stays within its cap."""
         monkeypatch.setattr(blocks, "BLOCK_CACHE_CAP", 2)
         code, rwx = two_page_loop(6)
         result, state, _ = run_engines(code, rwx)
         assert result.reason is ExitReason.SVC
         assert state.regs.read_gpr(0) == 6
-        bcache = state.uarch.bcache
-        assert 0 < len(bcache) <= 2
-        ids = {id(entry) for entry in bcache.values()}
-        for entry in bcache.values():
-            for key, link in entry[blocks._CHAIN].items():
-                assert id(link[0]) in ids  # chained-to region still cached
-                assert any(
-                    p is entry and k == key for p, k in link[0][blocks._INL]
-                )
-            for pred, key in entry[blocks._INL]:
-                assert id(pred) in ids
-                assert pred[blocks._CHAIN][key][0] is entry
+        assert 0 < len(state.uarch.bcache) <= 2
 
 
 def make_encrypted_state(code_words, data_words=(), rwx_words=()):

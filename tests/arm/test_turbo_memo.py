@@ -1,9 +1,9 @@
 """The turbo compile memo (``uarch.compiled``) across snapshot restores.
 
 ``MachineState.restore`` empties every validated cache — block cache,
-decode cache, micro-TLB, code pages, chain links — but keeps the
-content-keyed compile memo, so a restored machine running the same code
-again skips only ``compile()``.  Every test here compares the turbo
+decode cache, micro-TLB — but keeps the content-keyed compile memo, so
+a restored machine running the same code again, dispatching each
+region it crosses through ``blocks.lookup``, skips only ``compile()``.  Every test here compares the turbo
 engine with the reference engine run through the same sequence
 (registers, cycles, memory, access trace) and pins the memo's own
 contract: one compile per distinct region, fresh compiles for new code

@@ -78,12 +78,25 @@ CASES = {
         ["monitor/smc.py"],
         [],
     ),
+    "internals-in-generated-source": (
+        functools.partial(store.find, breach=store.touches_internals),
+        {
+            "src/repro/arm/memory.py": "self._buf[0] = 1\n",
+            "src/repro/arm/encryption.py": "self._tags = {}\n",
+            "src/repro/arm/blocks.py": "md = mem._dirty\n",
+            f"src/repro/{store.GENERATED}": "def _block(cpu, pc, budget):\n    _mem._buf[0] = 1\n",
+        },
+        store.INTERNALS_OWNERS,
+        [store.GENERATED],
+        [],
+    ),
     "note-store-outside-owner": (
         functools.partial(store.find, breach=store.calls_note_store),
         {
             "src/repro/arm/memory.py": "self._tlb.note_store(page)\n",
             "src/repro/arm/tlb.py": "def note_store(self, address):\n    pass\n",
             "src/repro/arm/cpu.py": "state.tlb.note_store(0)\n",
+            f"src/repro/{store.GENERATED}": "_tlb.note_store(_sp)\n",
         },
         store.NOTE_STORE_OWNERS,
         ["arm/cpu.py"],
@@ -95,9 +108,11 @@ CASES = {
             "src/repro/monitor/smc.py": "state.memory.x = 1\n",
             "src/repro/monitor/svc.py": "del self.memory.y\n",
             "src/repro/monitor/komodo.py": "memory.write_word(0, state.memory.z)\n",
+            "src/repro/monitor/txn.py": "_mem.generation = 0\n",
+            f"src/repro/{store.GENERATED}": "_mem.generation = _mem.generation + gw\n",
         },
         store.MEMORY_STATE_OWNERS,
-        ["monitor/smc.py", "monitor/svc.py"],
+        ["monitor/smc.py", "monitor/svc.py", "monitor/txn.py"],
         [],
     ),
     "sha256-outside-measurement": (
