@@ -16,7 +16,9 @@ regions tile one contiguous span by construction) viewed through a
 ``memoryview`` cast to native 32-bit words, so word access is an index
 operation and the bulk page helpers — zero, copy, burst read/write,
 and the ``region_bytes`` fingerprint that memory-region comparisons and
-digests use — are single slice operations.  Reads have no side effect
+digests use — are single slice operations; the world-checked bursts
+``checked_read_words``/``checked_write_words`` check once per page and
+then move the span in one slice.  Reads have no side effect
 on either memory class, so verifiers read and fingerprint memory
 freely.
 This module owns what a store implies: every mutator marks the pages
@@ -39,6 +41,8 @@ snapshot), ``rewind`` leaves the stamps equal to the checkpoint's and
 ``__deepcopy__`` copies them with the bytes, so the store path is
 untouched: ``_dirty`` stays the one record of writes (including the
 turbo engine's inline stores and ``flip_bit``).
+``region_stamps(base, size)`` gives a whole span's stamps at once, or
+``None`` if any of its pages is dirty.
 ``StampMemo`` memoises a per-page derivation on ``(base, stamp)``; the
 integrity engine's page CRCs and the campaign audit's table scans use
 it (see DESIGN.md, "Memory integrity & graceful degradation").
@@ -288,6 +292,29 @@ class PhysicalMemory:
         ):
             raise MemoryFault(address, f"normal-world {what} of protected memory")
 
+    # Bursts of world-checked words.  Regions are page aligned, so one
+    # ``_check`` per page decides what a check per word would; every page
+    # is checked before any word moves.  The one difference from a loop
+    # of single-word accesses: a span that faults moves no word at all,
+    # where the loop would have stored the words before the faulting one.
+
+    def _check_span(self, address: int, count: int, world: World, what: str) -> None:
+        """``_check`` the first word of each page ``count`` words touch."""
+        if world is World.NORMAL:
+            end = address + count * WORDSIZE
+            while address < end:
+                self._check(address, world, what)
+                address = (address & _PAGE_MASK) + PAGE_SIZE
+
+    def checked_read_words(self, address: int, count: int, world: World) -> List[int]:
+        self._check_span(address, count, world, "read")
+        return self.read_words(address, count)
+
+    def checked_write_words(self, address: int, words: Iterable[int], world: World) -> None:
+        words = list(words)
+        self._check_span(address, len(words), world, "write")
+        self.write_words(address, words)
+
     # -- bulk helpers (slice operations on the flat store) ----------------
 
     def _span(self, address: int, count: int) -> int:
@@ -365,6 +392,21 @@ class PhysicalMemory:
             raise self._fault(address, "read")
         page = offset >> 12
         return None if page in self._dirty else self._stamps[page]
+
+    def region_stamps(self, base: int, size: int) -> Optional[Tuple[int, ...]]:
+        """The ``page_stamp`` of every page of the page-aligned span
+        ``[base, base+size)``, in order, or ``None`` if any is dirty: one
+        set test and one slice, so a caller that needs the whole span
+        clean learns it has a dirty page without a per-page walk."""
+        offset = base - self._base
+        if offset & ~_PAGE_MASK or size & ~_PAGE_MASK or not (
+            0 <= offset <= offset + size <= self._size
+        ):
+            raise MemoryFault(base, f"region of {size:#x} bytes is not whole pages")
+        first, last = offset >> 12, offset + size >> 12
+        if self._dirty.isdisjoint(range(first, last)):
+            return tuple(self._stamps[first:last])
+        return None
 
     def settle(self) -> None:
         """Stamp the dirty pages of a never-anchored memory afresh.

@@ -45,8 +45,13 @@ so a bit flip (a write) is always caught at the next check.  The
 PageDB verdict is memoised on the *content* of the primary PageDB and
 its replica+checksum span (the ITAG page's dirty flags change inside
 every Enter, so a stamp key would always miss); equal bytes give an
-equal verdict by construction, and a repair is never cached.  Both
-memos are bounded (``PAGE_CRC_MEMO_SIZE``, ``PAGEDB_MEMO_SIZE``).
+equal verdict by construction, and a repair is never cached.  A
+precheck that found nothing wrong is remembered whole, on the PageDB
+and tag-region bytes, the entered thread and the secure pages' stamps
+(``PhysicalMemory.region_stamps``), so a repeat over a fully stamped
+secure region walks no page; a state with any dirty secure page takes
+the walk.  The memos are bounded (``PAGE_CRC_MEMO_SIZE``,
+``PAGEDB_MEMO_SIZE``, ``CLEAN_MEMO_SIZE``).
 
 Each rule is written once: :func:`_survey` (which tagged pages fail
 their tag, in quarantine order) serves :func:`precheck`, :func:`scrub`
@@ -565,6 +570,13 @@ def precheck(mon: "KomodoMonitor", enter_thread: int = None) -> PrecheckReport:
     Zero cycles, zero effect on a clean state: the repair/quarantine
     transaction is opened only when something is wrong, so fault-point
     sequences and state digests of uncorrupted runs are unchanged.
+
+    A verified clean state is remembered: when every secure page has a
+    stamp, the key is the bytes of the primary PageDB and of the whole
+    tag region, ``enter_thread`` and the secure pages' stamps — every
+    input of the verdict, and equal stamps mean equal bytes — and a hit
+    returns the empty report without a walk.  A state that needed a
+    repair or a quarantine is never remembered.
     """
     from repro.monitor.journal import run_transactional
 
@@ -572,6 +584,23 @@ def precheck(mon: "KomodoMonitor", enter_thread: int = None) -> PrecheckReport:
     report = PrecheckReport()
     if not enabled(state):
         return report
+    memmap = state.memmap
+    stamps = state.memory.region_stamps(memmap.secure.base, memmap.secure.size)
+    if stamps is not None:
+        base = memmap.monitor_image.base
+        npages = memmap.secure_pages
+        key = (
+            state.memory.region_bytes(
+                pagedb_entry_addr(base, 0), npages * PAGEDB_ENTRY_WORDS * WORDSIZE
+            ),
+            state.memory.region_bytes(
+                itag_magic_addr(base), itag_words_used(npages) * WORDSIZE
+            ),
+            enter_thread,
+            stamps,
+        )
+        if key in _CLEAN:
+            return report
     types, owners, fixes, repaired = check_pagedb(state)
     report.repaired = repaired
     entered = set()
@@ -589,8 +618,19 @@ def precheck(mon: "KomodoMonitor", enter_thread: int = None) -> PrecheckReport:
             _quarantine_in_txn(state, types, owners, suspects)
 
         run_transactional(state, _contain, commit_if=lambda _: True)
+    elif stamps is not None:
+        if len(_CLEAN) >= CLEAN_MEMO_SIZE:
+            del _CLEAN[next(iter(_CLEAN))]
+        _CLEAN[key] = None
     report.quarantined = sorted(suspects)
     return report
+
+
+#: Bound on :func:`precheck`'s memo of verified-clean states (one per
+#: distinct PageDB, tag region, entered thread and secure-page stamps).
+CLEAN_MEMO_SIZE = 256
+
+_CLEAN: Dict[tuple, None] = {}
 
 
 def scrub(mon: "KomodoMonitor") -> PrecheckReport:

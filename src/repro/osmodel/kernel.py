@@ -7,6 +7,13 @@ Linux boots and a kernel driver issues SMCs to create and run enclaves
 (the monitor does no allocation of its own — the OS must choose free
 pages or calls fail, section 4), manages insecure RAM for staging enclave
 contents and shared buffers, and wraps the SMC ABI.
+
+Insecure memory is reached as the hardware lets the normal world reach
+it: ``read_insecure``/``write_insecure`` move one word, and the burst
+forms ``read_insecure_words``/``write_insecure_words`` (behind
+``SharedBuffer``, ``stage_page`` and the host end of a channel) move a
+span after checking each page it touches, so a span touching secure or
+monitor memory faults before any word moves.
 """
 
 from __future__ import annotations
@@ -35,14 +42,10 @@ class SharedBuffer:
     va: Optional[int] = None  # enclave virtual address once mapped
 
     def write_words(self, kernel: "OSKernel", words: Sequence[int], offset: int = 0) -> None:
-        for i, word in enumerate(words):
-            kernel.write_insecure(self.base + (offset + i) * WORDSIZE, word)
+        kernel.write_insecure_words(self.base + offset * WORDSIZE, words)
 
     def read_words(self, kernel: "OSKernel", count: int, offset: int = 0) -> List[int]:
-        return [
-            kernel.read_insecure(self.base + (offset + i) * WORDSIZE)
-            for i in range(count)
-        ]
+        return kernel.read_insecure_words(self.base + offset * WORDSIZE, count)
 
 
 class OSKernel:
@@ -97,13 +100,22 @@ class OSKernel:
     def read_insecure(self, address: int) -> int:
         return self.monitor.state.memory.checked_read(address, World.NORMAL)
 
+    def write_insecure_words(self, address: int, words: Sequence[int]) -> None:
+        """A burst of normal-world stores from ``address`` on.  Every
+        page the span touches is checked before any word moves, so a
+        burst that faults stores nothing."""
+        self.monitor.state.memory.checked_write_words(address, words, World.NORMAL)
+
+    def read_insecure_words(self, address: int, count: int) -> List[int]:
+        """A burst of ``count`` normal-world loads from ``address`` on."""
+        return self.monitor.state.memory.checked_read_words(address, count, World.NORMAL)
+
     def stage_page(self, words: Sequence[int]) -> int:
         """Copy up to a page of words into fresh insecure RAM; returns base."""
         if len(words) > WORDS_PER_PAGE:
             raise OSError_("staged contents exceed one page")
         base = self.alloc_insecure_page()
-        for i, word in enumerate(words):
-            self.write_insecure(base + i * WORDSIZE, word)
+        self.write_insecure_words(base, words)
         return base
 
     # -- SMC wrappers -------------------------------------------------------------

@@ -20,6 +20,15 @@ Layout of the channel page (words):
 Both the host side (direct memory access through the kernel) and the
 enclave side (access through the enclave's page tables via a
 NativeContext) are provided, sharing the protocol logic.
+
+The cursors move one word at a time; a message moves in runs.  ``send``
+writes ``[length] + payload`` as at most two runs (split where the ring
+wraps) and then the tail cursor, and ``receive`` reads the length word,
+validates it, and reads the payload as at most two runs.  A host run is
+one checked burst through the kernel; an enclave run is
+``NativeContext.read_words``/``write_words``, which charge the same
+cycles as a word-by-word loop.  Page bytes, results and errors are
+those of the word-by-word protocol.
 """
 
 from __future__ import annotations
@@ -40,11 +49,16 @@ class ChannelError(Exception):
 
 
 class WordAccess(Protocol):
-    """Word read/write at an offset — implemented by both endpoints."""
+    """Word and word-run read/write at a word offset into the page —
+    implemented by both endpoints.  A run never leaves the page."""
 
     def read(self, index: int) -> int: ...
 
     def write(self, index: int, value: int) -> None: ...
+
+    def read_run(self, index: int, count: int) -> List[int]: ...
+
+    def write_run(self, index: int, words: List[int]) -> None: ...
 
 
 class HostEndpoint:
@@ -60,6 +74,12 @@ class HostEndpoint:
     def write(self, index: int, value: int) -> None:
         self.kernel.write_insecure(self.base + index * WORDSIZE, value)
 
+    def read_run(self, index: int, count: int) -> List[int]:
+        return self.kernel.read_insecure_words(self.base + index * WORDSIZE, count)
+
+    def write_run(self, index: int, words: List[int]) -> None:
+        self.kernel.write_insecure_words(self.base + index * WORDSIZE, words)
+
 
 class EnclaveEndpoint:
     """The enclave side: access through its own page tables."""
@@ -73,6 +93,12 @@ class EnclaveEndpoint:
 
     def write(self, index: int, value: int) -> None:
         self.ctx.write_word(self.va + index * WORDSIZE, value)
+
+    def read_run(self, index: int, count: int) -> List[int]:
+        return self.ctx.read_words(self.va + index * WORDSIZE, count)
+
+    def write_run(self, index: int, words: List[int]) -> None:
+        self.ctx.write_words(self.va + index * WORDSIZE, words)
 
 
 class Channel:
@@ -114,9 +140,11 @@ class Channel:
         free = _CAPACITY - 1 - self._used(head, tail)
         if needed > free:
             return False
-        self.access.write(_DATA + tail, len(message))
-        for i, word in enumerate(message):
-            self.access.write(_DATA + (tail + 1 + i) % _CAPACITY, word & 0xFFFFFFFF)
+        words = [len(message)] + [word & 0xFFFFFFFF for word in message]
+        split = _CAPACITY - tail  # slots before the ring wraps
+        self.access.write_run(_DATA + tail, words[:split])
+        if needed > split:
+            self.access.write_run(_DATA, words[split:])
         self.access.write(_TAIL, (tail + needed) % _CAPACITY)
         return True
 
@@ -135,10 +163,13 @@ class Channel:
             raise ChannelError(f"corrupt message length {length}")
         if length + 1 > self._used(head, tail):
             raise ChannelError("message extends past the tail")
-        message = [
-            self.access.read(_DATA + (head + 1 + i) % _CAPACITY)
-            for i in range(length)
-        ]
+        start = (head + 1) % _CAPACITY
+        split = _CAPACITY - start  # slots before the ring wraps
+        if length <= split:
+            message = self.access.read_run(_DATA + start, length)
+        else:
+            message = self.access.read_run(_DATA + start, split)
+            message += self.access.read_run(_DATA, length - split)
         self.access.write(_HEAD, (head + 1 + length) % _CAPACITY)
         return message
 

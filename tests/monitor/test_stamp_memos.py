@@ -11,7 +11,13 @@ hold the memos to what a full recomputation decides:
   is memoised) whole campaigns give the same report digests and the
   same per-SMC ``PrecheckReport``s;
 * every memo stays at or under its cap, and tiny caps change nothing;
-* served requests answer the same with stamps off.
+* served requests answer the same with stamps off;
+* ``precheck``'s memo of verified-clean states walks nothing on a hit,
+  and each part of its key is needed: the entered thread, the secure
+  pages' stamps and the tag region's bytes.
+
+"Stamps off" patches ``region_stamps`` to ``None`` as well, so the
+clean-state memo never hits either.
 """
 
 import dataclasses
@@ -31,6 +37,7 @@ from repro.faults.bitflip import BitflipCampaign
 from repro.faults.campaign import LifecycleCampaign
 from repro.faults.parallel import report_digest
 from repro.monitor import integrity
+from repro.monitor.integrity import PrecheckReport
 from repro.monitor.komodo import KomodoMonitor
 from repro.monitor.layout import (
     SVC,
@@ -58,6 +65,12 @@ def memos():
         "audit L2 scans": audit._L2_SCANS,
         "turbo regions": blocks._REGIONS,
     }
+
+
+def stamps_off(patch):
+    """Make every page read as dirty: no stamp-keyed memo can hit."""
+    patch.setattr(PhysicalMemory, "page_stamp", lambda self, address: None)
+    patch.setattr(PhysicalMemory, "region_stamps", lambda self, base, size: None)
 
 
 def verified_enclave(engine):
@@ -158,19 +171,23 @@ def test_memos_decide_what_full_recomputation_decides(name, monkeypatch):
         assert any(quarantined for _, _, quarantined in reports)
     for memo in memos().values():
         assert len(memo) <= memo.cap
+    assert len(integrity._CLEAN) <= integrity.CLEAN_MEMO_SIZE
 
     with monkeypatch.context() as patch:
-        patch.setattr(PhysicalMemory, "page_stamp", lambda self, address: None)
+        stamps_off(patch)
         assert run_recorded(CAMPAIGNS[name](), monkeypatch) == with_stamps
 
     with monkeypatch.context() as patch:
         patch.setattr(integrity, "PAGEDB_MEMO_SIZE", 1)
         patch.setattr(integrity, "_AGREEING", {})
+        patch.setattr(integrity, "CLEAN_MEMO_SIZE", 1)
+        patch.setattr(integrity, "_CLEAN", {})
         for memo in memos().values():
             patch.setattr(memo, "cap", 2)
             patch.setattr(memo, "_entries", {})
         assert run_recorded(CAMPAIGNS[name](), monkeypatch) == with_stamps
         assert len(integrity._AGREEING) <= 1
+        assert len(integrity._CLEAN) <= 1
         for memo_name, memo in memos().items():
             assert len(memo) <= 2, memo_name
 
@@ -189,7 +206,89 @@ def test_served_requests_answer_the_same_with_stamps_off(monkeypatch):
     template = get_template(SPEC)
     stamped = results_digest(template.execute(r) for r in mix)
     with monkeypatch.context() as patch:
-        patch.setattr(PhysicalMemory, "page_stamp", lambda self, address: None)
+        stamps_off(patch)
         unstamped = results_digest(template.execute(r) for r in mix)
     assert stamped == unstamped
     assert stamped == results_digest(template.expected(r) for r in mix)
+
+
+def remembered_clean(monitor, monkeypatch, enter_thread=None):
+    """Snapshot (every secure page stamped), precheck clean, and show
+    that a repeat is a memo hit: it runs neither PageDB check nor walk."""
+    monitor.state.snapshot()
+    assert integrity.precheck(monitor, enter_thread=enter_thread) == PrecheckReport()
+
+    def walk(*args):
+        raise AssertionError("a remembered clean state was walked again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrity, "check_pagedb", walk)
+        patch.setattr(integrity, "_survey", walk)
+        report = integrity.precheck(monitor, enter_thread=enter_thread)
+    assert report == PrecheckReport()
+
+
+class TestCleanStateMemo:
+    """Each case defeats a clean-state memo whose key lacks one part."""
+
+    def test_stamped_data_corruption_is_caught_when_its_thread_enters(
+        self, monkeypatch
+    ):
+        # Needs ``enter_thread`` in the key: without a thread, DATA
+        # pages are not checked, so that precheck's clean verdict says
+        # nothing about the entered one.
+        monitor, enclave = verified_enclave("turbo")
+        pageno = memoised_page(monitor, PageType.DATA)
+        monitor.state.flip_bit(monitor.state.memmap.page_base(pageno), 3)
+        remembered_clean(monitor, monkeypatch)  # stamps the flipped page
+        report = integrity.precheck(monitor, enter_thread=enclave.thread)
+        assert report.quarantined == [pageno]
+
+    def test_stamped_metadata_corruption_behind_equal_pagedb_and_tags(
+        self, monkeypatch
+    ):
+        # Needs the stamps: the PageDB and the tag region are unchanged.
+        monitor, _ = verified_enclave("turbo")
+        remembered_clean(monitor, monkeypatch)
+        pageno = memoised_page(monitor, PageType.L1PTABLE)
+        monitor.state.flip_bit(monitor.state.memmap.page_base(pageno) + 16, 7)
+        monitor.state.snapshot()  # the corrupted page is stamped afresh
+        assert integrity.precheck(monitor).quarantined == [pageno]
+
+    def test_flipped_tag_word_is_caught(self, monkeypatch):
+        # Needs the tag region's bytes: the secure pages are untouched.
+        monitor, _ = verified_enclave("turbo")
+        remembered_clean(monitor, monkeypatch)
+        pageno = memoised_page(monitor, PageType.ADDRSPACE)
+        memmap = monitor.state.memmap
+        base, npages = memmap.monitor_image.base, memmap.secure_pages
+        monitor.state.flip_bit(itag_page_tag_addr(base, npages, pageno), 0)
+        assert monitor.state.memory.region_stamps(
+            memmap.secure.base, memmap.secure.size
+        ) is not None
+        assert integrity.precheck(monitor).quarantined == [pageno]
+
+    def test_a_quarantined_state_is_never_remembered(self):
+        # A trial forked from a snapshot of a corrupted state sees the
+        # same bytes and stamps again: it must be quarantined again.
+        monitor, _ = verified_enclave("turbo")
+        pageno = memoised_page(monitor, PageType.L1PTABLE)
+        monitor.state.flip_bit(monitor.state.memmap.page_base(pageno) + 16, 7)
+        corrupted = monitor.state.snapshot()
+        for _ in range(2):
+            assert integrity.precheck(monitor).quarantined == [pageno]
+            monitor.state.restore(corrupted)
+
+    def test_a_dirty_secure_page_skips_the_memo(self):
+        monitor, _ = verified_enclave("turbo")
+        monitor.state.snapshot()
+        memmap = monitor.state.memmap
+        free = PageDB(monitor.state).page_type(memmap.secure_pages - 1)
+        assert free is PageType.FREE  # untagged: the verdict stays clean
+        monitor.state.memory.write_word(memmap.page_base(memmap.secure_pages - 1), 1)
+        assert monitor.state.memory.region_stamps(
+            memmap.secure.base, memmap.secure.size
+        ) is None
+        before = len(integrity._CLEAN)
+        assert integrity.precheck(monitor) == PrecheckReport()
+        assert len(integrity._CLEAN) == before
